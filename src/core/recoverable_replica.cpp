@@ -36,10 +36,12 @@ void RecoverableReplicaProcess::on_recover() {
   snapshot_frontier_.reset();
   seen_ts_.clear();
   last_rejoin_complete_ = kNoTime;
+  join_attempts_ = 0;
   send_join_request();
 }
 
 void RecoverableReplicaProcess::send_join_request() {
+  ++join_attempts_;
   broadcast(make_msg<JoinRequestPayload>(link_incarnation()));
   join_timer_ =
       set_timer(params_.join_retry_for(timing()), TimerTag{kJoinRetry, {}});
@@ -143,10 +145,15 @@ void RecoverableReplicaProcess::deliver_app(ProcessId from,
 void RecoverableReplicaProcess::on_timer(TimerId id, const TimerTag& tag) {
   switch (tag.kind) {
     case kJoinRetry:
-      // Unanswered (every peer down or our request lost past the link's
-      // attempt budget): ask again, forever -- availability returns as soon
-      // as any peer does.
-      if (!joined_) send_join_request();
+      // Unanswered (no joined peer reachable, or our request lost past the
+      // link's attempt budget): ask again, up to the link's own
+      // max_attempts.  Past that the rejoin gives up and its deferred
+      // operations stay pending: with no stable storage, sequential crashes
+      // can leave no joined copy anywhere, and nothing but a joined copy
+      // can ever answer -- retrying forever would only livelock the run.
+      if (!joined_ && join_attempts_ < params_.link.max_attempts) {
+        send_join_request();
+      }
       return;
     case kCatchUp: {
       serving_ = true;

@@ -9,7 +9,8 @@
 //   1. On recovery it picks a fresh link incarnation (the local clock at
 //      recovery: monotonically larger than any previous life's, with no
 //      stable storage) and broadcasts JoinRequest, retrying every
-//      join_retry ticks until answered.
+//      join_retry ticks until answered, at most link.max_attempts times
+//      in all.
 //   2. Every joined peer replies with a JoinSnapshot: a clone of its object
 //      copy, the timestamp frontier that copy reflects (its executed
 //      prefix), and its pending To_Execute entries.  Meanwhile the rejoiner
@@ -43,6 +44,13 @@
 // attributed by the assumption monitor (kRecovering / kReliableDelivery),
 // not silently accepted.  With max_down > 1 simultaneous crashes, a
 // snapshot may itself come from a replica that is missing an operation.
+// And with no stable storage, sequential crashes can leave no joined peer
+// at all, even under max_down = 1: if each replica crashes and recovers in
+// turn and the last joined copy dies before anyone adopts its snapshot,
+// every replica is mid-rejoin and no JoinRequest can ever be answered.
+// The rejoin then gives up after link.max_attempts requests and the
+// operations deferred on it stay pending -- a stalled run, reported as
+// such, instead of JoinRequests re-broadcast forever.
 #pragma once
 
 #include <cstdint>
@@ -61,7 +69,8 @@ namespace linbound {
 struct RecoverableParams {
   HardenedParams link;
   /// JoinRequest retry period; 0 means a round trip over the effective
-  /// link, 2 * d_eff + 1.
+  /// link, 2 * d_eff + 1.  A rejoin sends at most link.max_attempts
+  /// requests.
   Tick join_retry = 0;
   /// Extra catch-up wait on top of d_eff + eps.
   Tick catchup_margin = 0;
@@ -153,6 +162,8 @@ class RecoverableReplicaProcess final : public HardenedReplicaProcess {
   /// pending set, the rejoin buffer, and post-join retransmissions).
   FlatSet<Timestamp> seen_ts_;
   TimerId join_timer_ = -1;
+  /// JoinRequests broadcast since the last recovery.
+  int join_attempts_ = 0;
 
   std::int64_t snapshots_served_ = 0;
   std::int64_t rejoin_dedup_dropped_ = 0;

@@ -118,17 +118,6 @@ class ReplicaProcess : public Process {
     return executed_frontier_;
   }
 
-  /// Choose the pending-table backing (core/pending_tables.h).  Flat tables
-  /// (the default) are the allocation-free hot path; kReference restores
-  /// the seed's std::map nodes for the bench_throughput baseline.  Only
-  /// legal before any operation is pending -- ReplicaSystem calls it right
-  /// after construction.  Both modes produce byte-identical traces.
-  void set_table_mode(TableMode mode) {
-    awaiting_self_add_.set_mode(mode);
-    awaiting_mop_ack_.set_mode(mode);
-    awaiting_aop_.set_mode(mode);
-  }
-
   /// Pre-size the pending tables and the To_Execute pools for `n`
   /// concurrently pending operations (the workload's per-replica high-water
   /// bound).  Capacity-only: behavior is unchanged.

@@ -56,9 +56,6 @@ struct ChurnSweepOptions {
   /// independent deterministic simulation, aggregated in canonical order,
   /// so any value produces byte-identical results.
   int jobs = 1;
-  /// Future-event-list implementation for every run's simulator; results
-  /// are byte-identical at either value (sim/event_queue.h).
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
   /// Checker configuration for every run's (possibly pending-laden)
   /// history; verdicts are identical at any value.
   CheckOptions check;

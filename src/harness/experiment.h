@@ -31,9 +31,6 @@ struct SweepOptions {
   /// independent deterministic simulation and results are aggregated in
   /// canonical order, so any value produces byte-identical output.
   int jobs = 1;
-  /// Future-event-list implementation for every run's simulator; results
-  /// are byte-identical at either value (sim/event_queue.h).
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
   /// Checker configuration for every cell's history (segmentation on,
   /// checker-internal jobs serial by default: sweeps already parallelize
   /// across cells, and any CheckOptions value yields identical verdicts).

@@ -193,8 +193,6 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
   so.n = opt_.replicas;
   so.timing = opt_.timing;
   so.x = opt_.x;
-  so.queue_impl = opt_.queue_impl;
-  so.delivery_mode = opt_.delivery_mode;
   so.max_events = opt_.max_events_per_shard;
   if (s < opt_.shard_budget_override.size() && opt_.shard_budget_override[s]) {
     so.max_events = opt_.shard_budget_override[s];

@@ -106,10 +106,6 @@ struct ShardOptions {
   /// Conservative lookahead; 0 = auto: timing.min_delay() = d - u.  Must
   /// not exceed the minimum cross-shard delay or construction throws.
   Tick lookahead = 0;
-  EventQueueImpl queue_impl = EventQueueImpl::kCalendar;
-  /// Per-shard delivery batching (sim/simulator.h DeliveryMode); both modes
-  /// yield byte-identical per-shard traces at every job count.
-  DeliveryMode delivery_mode = DeliveryMode::kBatched;
 
   // --- planted-mutant knobs (tests only) ---
   /// Shard whose epoch-0 beacon is delivered *before* the window ends,
@@ -164,7 +160,7 @@ struct ShardRunReport {
   std::size_t beacons = 0;          ///< cross-shard beacons delivered
   std::size_t total_events = 0;
   std::size_t total_ops = 0;
-  std::uint64_t deliver_batches = 0;   ///< summed over shards (0 under kPerMessage)
+  std::uint64_t deliver_batches = 0;   ///< summed over shards
   std::uint64_t batched_messages = 0;  ///< summed over shards
   int aborted = 0;                  ///< shards that ended kAborted
   int checked = 0;                  ///< shards with a streaming verdict

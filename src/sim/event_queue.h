@@ -6,37 +6,36 @@
 // clock instant, and Lemma C.9's "added no later than the respond time"
 // relies on it), then in insertion order.  This total order is the
 // simulator's determinism contract: every run is a pure function of its
-// configuration (DESIGN.md "determinism everywhere"), and both queue
-// implementations below realize *exactly* the same pop order.
+// configuration (DESIGN.md "determinism everywhere").
 //
-//   kCalendar (default)  -- a two-level calendar queue keyed by tick.
-//     Level 0 is a window of per-tick buckets (two append-only lanes per
-//     bucket, one per priority class, drained via cursors) with a two-level
-//     bitmap to find the next populated tick.  Level 1 is a timing wheel of
-//     kL1 window-sized buckets covering the next ~16.8M ticks; each wheel
-//     bucket is an intrusive FIFO chain through a recycled slot pool, so a
-//     far-future push is one slot write plus a tail link -- no sifting.
-//     When the window drains it rotates to the nearest populated wheel
-//     bucket and migrates that chain (a linear walk) into level 0.  A small
-//     binary-heap "far" rung catches times beyond the wheel span, and an
-//     "early" rung catches times pushed before the current window start
-//     (possible only through out-of-order push patterns in tests; the
-//     simulator always pushes at t >= now).  Push and pop are amortized
-//     O(1): an event is appended once, migrated at most once, and popped
-//     once.  Storage is the slim EventRec below -- one cache line per
-//     event, with kCall closures parked in a side pool -- so every append
-//     and migration moves 64 trivially-copyable bytes instead of a
-//     104-byte struct with a std::function inside.
-//   kBinaryHeap          -- the seed binary min-heap over fat SimEvents,
-//     kept verbatim as the reference implementation for differential tests
-//     and the throughput-regression gate (bench/bench_throughput.cpp): the
-//     gate prices the full data-layout distance between the seed and the
-//     calendar, not just the bucketing.
+// The queue is a two-level calendar keyed by tick.  Level 0 is a window of
+// per-tick buckets (two append-only lanes per bucket, one per priority
+// class, drained via cursors) with a two-level bitmap to find the next
+// populated tick.  Level 1 is a timing wheel of kL1 window-sized buckets
+// covering the next ~16.8M ticks; each wheel bucket is an intrusive FIFO
+// chain through a recycled slot pool, so a far-future push is one slot
+// write plus a tail link -- no sifting.  When the window drains it rotates
+// to the nearest populated wheel bucket and migrates that chain (a linear
+// walk) into level 0.  A small binary-heap "far" rung catches times beyond
+// the wheel span, and an "early" rung catches times pushed before the
+// current window start (possible only through out-of-order push patterns
+// in tests; the simulator always pushes at t >= now).  Push and pop are
+// amortized O(1): an event is appended once, migrated at most once, and
+// popped once.  Every structure stores the one SimEvent below -- a single
+// 64-byte cache line, trivially copyable, with kCall closures parked in a
+// side pool -- so each append and migration moves one cache line.
+//
+// The seed's binary min-heap over a fat 104-byte event, which this queue
+// replaced, lives on as a test-side reference model (tests/seed_heap.h):
+// the differential tests replay push/pop streams through both and compare
+// every pop, and bench_throughput gates the calendar's queue-level speed
+// at >= 3x over it.
 //
 // Events are tagged PODs, not closures: the hot-path kinds (deliveries,
 // timers, invocations, crash/recover) carry their operands inline so
 // pushing them allocates nothing.  Only generic kCall events (scenario
-// glue via Simulator::call_at) still carry a std::function.
+// glue via Simulator::call_at) carry a std::function, parked in the queue
+// and handed back by take_call().
 #pragma once
 
 #include <cassert>
@@ -67,41 +66,37 @@ enum class EventKind : std::uint8_t {
   kRecover,  ///< recover `pid`
 };
 
+/// One queued event: the (time, priority, seq) order key plus the operands
+/// of its kind, packed into one cache line.  Callers fill only the kind and
+/// its operands; push_typed assigns the key.
 struct SimEvent {
   Tick time = 0;
-  int priority = 1;
   std::uint64_t seq = 0;  ///< global insertion order; the final tie-break
-  EventKind kind = EventKind::kCall;
-
-  ProcessId pid = kNoProcess;               ///< invoke/timer/crash/recover
-  std::int64_t a = 0;                       ///< token / timer id / record index
-  int epoch = 0;                            ///< timer: arming incarnation
-  int tag_kind = 0;                         ///< timer: TimerTag::kind
-  Timestamp tag_ts{};                       ///< timer: TimerTag::ts
+  std::int64_t a = 0;     ///< token / timer id / record index
   const MessagePayload* payload = nullptr;  ///< deliver
-  std::function<void()> fn;                 ///< kCall only
+  Tick tag_clock = kNoTime;                 ///< timer: TimerTag::ts.clock_time
+  std::int32_t fn_slot = -1;  ///< kCall: parked-closure slot; -1 = none
+  ProcessId pid = kNoProcess;               ///< invoke/deliver/timer/crash/recover
+  ProcessId tag_pid = kNoProcess;           ///< timer: TimerTag::ts.pid
+  std::int32_t epoch = 0;                   ///< timer: arming incarnation
+  std::int32_t tag_kind = 0;                ///< timer: TimerTag::kind
+  EventKind kind = EventKind::kCall;
+  std::uint8_t priority = 1;  ///< EventPriority
 
-  /// Run a kCall event's callback (test/scenario convenience).
-  void fire() { fn(); }
+  Timestamp tag_ts() const { return Timestamp{tag_clock, tag_pid}; }
+  void set_tag_ts(const Timestamp& ts) {
+    tag_clock = ts.clock_time;
+    tag_pid = ts.pid;
+  }
 };
-
-/// Which future-event-list implementation a queue (and hence a Simulator)
-/// uses.  Pop order is identical for both -- the calendar queue is a pure
-/// performance refactor; the heap is the seed implementation, kept for
-/// differential tests and throughput-regression baselines.
-enum class EventQueueImpl {
-  kCalendar,    ///< bucketed calendar queue (default)
-  kBinaryHeap,  ///< seed binary min-heap
-};
+static_assert(sizeof(SimEvent) <= 64, "SimEvent outgrew a cache line");
 
 class EventQueue {
  public:
-  explicit EventQueue(EventQueueImpl impl = EventQueueImpl::kCalendar);
+  EventQueue();
 
-  EventQueueImpl impl() const { return impl_; }
-
-  /// Insert a generic callback event at `time`.  Returns the sequence
-  /// number assigned.
+  /// Insert a generic callback event at `time`; the closure is parked until
+  /// take_call().  Returns the sequence number assigned.
   std::uint64_t push(Tick time, std::function<void()> fire) {
     return push(time, EventPriority::kNormal, std::move(fire));
   }
@@ -115,9 +110,8 @@ class EventQueue {
   std::size_t size() const { return size_; }
 
   /// Time of the earliest event; kTimeInfinity when empty.  Logically
-  /// const; in calendar mode it may rotate the window to answer exactly
-  /// (the same internal restructure the next pop would have done -- pop
-  /// order is unaffected).
+  /// const; it may rotate the window to answer exactly (the same internal
+  /// restructure the next pop would have done -- pop order is unaffected).
   Tick next_time() const;
 
   /// Remove and return the earliest event.  Precondition: !empty() --
@@ -125,10 +119,14 @@ class EventQueue {
   /// a recoverable condition.
   SimEvent pop();
 
+  /// Hand back a popped kCall event's closure and recycle its slot (empty
+  /// when the event carries none).  A popped closure stays parked until
+  /// taken; the simulator takes every one it pops.
+  std::function<void()> take_call(SimEvent& ev);
+
   /// True iff the event pop() would return next is a kDeliver at exactly
   /// (time, pid) -- the batched-delivery membership test (sim/simulator.cpp),
-  /// answered from the queue's native storage without materializing a
-  /// SimEvent.  Non-const: asking may rotate the calendar window (the same
+  /// answered in place without popping.  Non-const: asking may rotate the calendar window (the same
   /// work the subsequent pop would have done anyway).
   bool next_matches_delivery(Tick time, ProcessId pid);
 
@@ -136,11 +134,10 @@ class EventQueue {
   /// events (workload size hints; see Simulator::reserve).  Never shrinks.
   void reserve(std::size_t events);
 
-  /// Pre-size every calendar bucket's lanes for `per_lane` same-tick events
-  /// (no-op in kBinaryHeap mode).  Bucket lanes keep their capacity across
-  /// window rotations, so this plus reserve() makes a steady-state run's
-  /// pushes allocation-free from the first event on, instead of after the
-  /// first window's warm-up.
+  /// Pre-size every calendar bucket's lanes for `per_lane` same-tick events.
+  /// Bucket lanes keep their capacity across window rotations, so this plus
+  /// reserve() makes a steady-state run's pushes allocation-free from the
+  /// first event on, instead of after the first window's warm-up.
   void warm_buckets(std::size_t per_lane);
 
   /// Peak number of simultaneously pending events seen so far -- the pool
@@ -150,8 +147,8 @@ class EventQueue {
   /// Optional push/pop log for queue-level replay (bench_throughput): when
   /// set, every push appends (time << 1) | priority and every pop appends
   /// kPopSentinel, so the exact interleaving of one run can be replayed
-  /// against either implementation.  Costs one predictable branch per
-  /// operation; null by default.  Entries beyond `log_cap` are dropped.
+  /// through a bare queue (or the test-side seed heap).  Costs one
+  /// predictable branch per operation; null by default.  Entries beyond `log_cap` are dropped.
   static constexpr std::int64_t kPopSentinel = -1;
   void set_log(std::vector<std::int64_t>* log, std::size_t log_cap) {
     log_ = log;
@@ -159,84 +156,16 @@ class EventQueue {
   }
 
  private:
-  /// The calendar's storage record: SimEvent minus the std::function,
-  /// packed to one 64-byte cache line (vs the fat event's 104).  kCall
-  /// closures park in fn_pool_ and the record carries the slot; every other
-  /// kind is trivially copyable end to end.  The (time, priority, seq)
-  /// order key is carried verbatim, so pop order is unaffected by the
-  /// layout -- only the bytes moved per queue operation change.
-  struct EventRec {
-    Tick time = 0;
-    std::uint64_t seq = 0;
-    std::int64_t a = 0;
-    const MessagePayload* payload = nullptr;
-    Tick tag_clock = 0;              ///< TimerTag::ts.clock_time
-    std::int32_t fn_slot = -1;       ///< fn_pool_ index; -1 = no closure
-    ProcessId pid = kNoProcess;
-    ProcessId tag_pid = kNoProcess;  ///< TimerTag::ts.pid
-    std::int32_t epoch = 0;
-    std::int32_t tag_kind = 0;
-    EventKind kind = EventKind::kCall;
-    std::uint8_t priority = 1;
-  };
-  static_assert(sizeof(EventRec) <= 64, "EventRec outgrew a cache line");
-
-  // --- shared ordering ---
   /// Strict "a fires after b" on (time, priority, seq).
   static bool later(const SimEvent& a, const SimEvent& b) {
     if (a.time != b.time) return a.time > b.time;
     if (a.priority != b.priority) return a.priority > b.priority;
     return a.seq > b.seq;
   }
-  static bool later(const EventRec& a, const EventRec& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.priority != b.priority) return a.priority > b.priority;
-    return a.seq > b.seq;
-  }
 
-  // --- binary-heap machinery (the kBinaryHeap impl over fat SimEvents;
-  //     the calendar's overflow and early rungs over slim EventRecs) ---
-  template <typename E>
-  static void heap_push(std::vector<E>& heap, E ev) {
-    heap.push_back(std::move(ev));
-    sift_up(heap, heap.size() - 1);
-  }
-  template <typename E>
-  static E heap_pop(std::vector<E>& heap) {
-    assert(!heap.empty());
-    E out = std::move(heap.front());
-    heap.front() = std::move(heap.back());
-    heap.pop_back();
-    if (!heap.empty()) sift_down(heap, 0);
-    return out;
-  }
-  template <typename E>
-  static void sift_up(std::vector<E>& heap, std::size_t i) {
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 2;
-      if (!later(heap[parent], heap[i])) break;
-      std::swap(heap[parent], heap[i]);
-      i = parent;
-    }
-  }
-  template <typename E>
-  static void sift_down(std::vector<E>& heap, std::size_t i) {
-    const std::size_t n = heap.size();
-    while (true) {
-      const std::size_t l = 2 * i + 1;
-      const std::size_t r = 2 * i + 2;
-      std::size_t best = i;
-      if (l < n && later(heap[best], heap[l])) best = l;
-      if (r < n && later(heap[best], heap[r])) best = r;
-      if (best == i) return;
-      std::swap(heap[i], heap[best]);
-      i = best;
-    }
-  }
-
-  // --- fat <-> slim conversion (calendar boundary) ---
-  EventRec slim(SimEvent&& ev);
-  SimEvent fatten(EventRec&& rec);
+  // --- binary-heap rungs (far and early) ---
+  static void heap_push(std::vector<SimEvent>& heap, SimEvent ev);
+  static SimEvent heap_pop(std::vector<SimEvent>& heap);
 
   // --- calendar machinery ---
   /// Window size in ticks (one bucket per tick); power of two.  4096 ticks
@@ -267,8 +196,8 @@ class EventQueue {
     /// lane[0] = kDelivery, lane[1] = kNormal; append-only, drained via
     /// pos[]. Within a lane events carry increasing seq, so lane order ==
     /// (priority, seq) order and a bucket pops lane 0 before lane 1 --
-    /// exactly the heap's tie-break.
-    std::vector<EventRec> lane[2];
+    /// exactly the (time, priority, seq) tie-break.
+    std::vector<SimEvent> lane[2];
     std::size_t pos[2] = {0, 0};
 
     bool drained() const {
@@ -289,25 +218,19 @@ class EventQueue {
     std::int32_t tail = -1;
   };
 
-  void calendar_push(EventRec rec);
-  EventRec calendar_pop_rec();
-  /// The record calendar_pop_rec would return, without removing it.  May
-  /// rotate the window.  Precondition: size_ > 0 in calendar mode.
-  const EventRec& calendar_front();
-  /// Append into the bucket for `rec.time` (must lie in the current window).
-  void bucket_insert(EventRec rec);
-  /// Append onto the wheel chain for `rec.time` (must lie past the window
+  /// The event pop() would return, without removing it.  May rotate the
+  /// window.  Precondition: size_ > 0.
+  const SimEvent& front();
+  /// Append into the bucket for `ev.time` (must lie in the current window).
+  void bucket_insert(SimEvent ev);
+  /// Append onto the wheel chain for `ev.time` (must lie past the window
   /// but within the wheel span).
-  void l1_insert(EventRec rec);
+  void l1_insert(SimEvent ev);
   /// Offset (>= from) of the next populated bucket; kWindow when none.
   std::size_t next_populated(std::size_t from) const;
   /// Wheel index (circularly >= from) of the next populated chain; kL1 when
   /// the whole wheel is empty.
   std::size_t l1_next_index(std::size_t from) const;
-  /// Earliest pending event time; kTimeInfinity when no bucket is live.
-  /// Rotates (via const_cast) when the answer lives on the wheel or far
-  /// rung -- a pure internal restructure, invisible to pop order.
-  Tick calendar_next_time() const;
   /// Move the window to the nearest pending source -- the closest populated
   /// wheel chain or the far-rung minimum -- and migrate everything that
   /// lands in the new window.  The far rung drains first: for any (tick,
@@ -327,15 +250,10 @@ class EventQueue {
     if (log_ && log_->size() < log_cap_) log_->push_back(kPopSentinel);
   }
 
-  EventQueueImpl impl_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;        ///< total events across all structures
   std::size_t high_water_ = 0;  ///< max size_ ever reached
 
-  /// kBinaryHeap only: the whole queue, fat events, seed layout.
-  std::vector<SimEvent> heap_;
-
-  // kCalendar state.
   std::vector<Bucket> buckets_;          ///< index = time - window_start_
   std::uint64_t words_[kWords] = {};     ///< bit b: bucket b populated
   std::uint64_t summary_ = 0;            ///< bit w: words_[w] != 0
@@ -345,20 +263,20 @@ class EventQueue {
   /// Level-1 wheel: chains indexed by wheel_index(time), slots recycled
   /// through an intrusive free list (l1_free_ chains through l1_next_), so
   /// a warmed-up run never grows the pool.
-  std::vector<L1Bucket> l1_;             ///< kL1 chains (calendar mode)
-  std::vector<EventRec> l1_pool_;        ///< chain slot storage
+  std::vector<L1Bucket> l1_;             ///< kL1 chains
+  std::vector<SimEvent> l1_pool_;        ///< chain slot storage
   std::vector<std::int32_t> l1_next_;    ///< chain links, parallel to l1_pool_
   std::int32_t l1_free_ = -1;            ///< free-slot list head
   std::uint64_t l1_words_[kL1Words] = {};  ///< bit b: chain b populated
   std::uint64_t l1_summary_ = 0;           ///< bit w: l1_words_[w] != 0
   /// Far rung: events at time >= window_start_ + kSpan (binary heap; empty
   /// under every shipped workload -- the wheel span exceeds their horizons).
-  std::vector<EventRec> far_;
+  std::vector<SimEvent> far_;
   /// Events pushed at time < window_start_ (the window never moves back).
   /// Empty in simulator runs -- the simulator pushes at t >= now -- but
   /// out-of-order test patterns land here and stay totally ordered.
-  std::vector<EventRec> early_;
-  /// Parked kCall closures, addressed by EventRec::fn_slot; slots recycle
+  std::vector<SimEvent> early_;
+  /// Parked kCall closures, addressed by SimEvent::fn_slot; slots recycle
   /// through the free list so a warmed-up run never grows the pool.
   std::vector<std::function<void()>> fn_pool_;
   std::vector<std::int32_t> free_fn_slots_;

@@ -6,7 +6,7 @@
 namespace linbound {
 
 Simulator::Simulator(SimConfig config)
-    : config_(std::move(config)), queue_(config_.queue_impl) {
+    : config_(std::move(config)) {
   if (!config_.timing.valid()) {
     throw std::invalid_argument("SimConfig: invalid SystemTiming");
   }
@@ -51,7 +51,7 @@ std::int64_t Simulator::invoke_at(Tick t, ProcessId pid, Operation op) {
   ev.kind = EventKind::kInvoke;
   ev.pid = pid;
   ev.a = token;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal, ev);
   return token;
 }
 
@@ -71,7 +71,7 @@ void Simulator::crash_at(Tick t, ProcessId pid) {
   SimEvent ev;
   ev.kind = EventKind::kCrash;
   ev.pid = pid;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal, ev);
 }
 
 void Simulator::do_crash(ProcessId pid) {
@@ -97,7 +97,7 @@ void Simulator::recover_at(Tick t, ProcessId pid) {
   SimEvent ev;
   ev.kind = EventKind::kRecover;
   ev.pid = pid;
-  queue_.push_typed(t, EventPriority::kNormal, std::move(ev));
+  queue_.push_typed(t, EventPriority::kNormal, ev);
 }
 
 void Simulator::do_recover(ProcessId pid) {
@@ -128,7 +128,21 @@ bool Simulator::run() { return run_until(kTimeInfinity); }
 
 bool Simulator::run_until(Tick t) {
   if (!started_) throw std::logic_error("run before start()");
-  while (!queue_.empty() && queue_.next_time() <= t) {
+  if (!drain_through(t)) return false;
+  if (t != kTimeInfinity && t > trace_.end_time) trace_.end_time = t;
+  return queue_.empty();
+}
+
+WindowOutcome Simulator::run_window(Tick horizon) {
+  if (!started_) throw std::logic_error("run before start()");
+  // Windows are half-open: an event at exactly the horizon is the next
+  // window's.
+  if (!drain_through(horizon - 1)) return WindowOutcome::kBudget;
+  return queue_.empty() ? WindowOutcome::kDrained : WindowOutcome::kHorizon;
+}
+
+bool Simulator::drain_through(Tick last) {
+  while (!queue_.empty() && queue_.next_time() <= last) {
     if (events_processed_ >= config_.max_events) return false;
     SimEvent ev = queue_.pop();
     now_ = ev.time;
@@ -138,49 +152,21 @@ bool Simulator::run_until(Tick t) {
       trace_.end_time = now_;
     }
     ++events_processed_;
-    if (config_.delivery == DeliveryMode::kBatched &&
-        ev.kind == EventKind::kDeliver) {
-      collect_delivery_batch(ev);
+    if (ev.kind != EventKind::kDeliver) {
       dispatch(ev);
-      for (SimEvent& member : batch_) {
-        ++events_processed_;
-        dispatch(member);
-      }
-      batch_.clear();
       continue;
     }
+    // Batch members share the head's tick, so they all lie within the
+    // bound the head already passed.
+    collect_delivery_batch(ev);
     dispatch(ev);
-  }
-  if (t != kTimeInfinity && t > trace_.end_time) trace_.end_time = t;
-  return queue_.empty();
-}
-
-WindowOutcome Simulator::run_window(Tick horizon) {
-  if (!started_) throw std::logic_error("run before start()");
-  while (!queue_.empty() && queue_.next_time() < horizon) {
-    if (events_processed_ >= config_.max_events) return WindowOutcome::kBudget;
-    SimEvent ev = queue_.pop();
-    now_ = ev.time;
-    if (ev.kind != EventKind::kCall && now_ > trace_.end_time) {
-      trace_.end_time = now_;
+    for (SimEvent& member : batch_) {
+      ++events_processed_;
+      dispatch(member);
     }
-    ++events_processed_;
-    if (config_.delivery == DeliveryMode::kBatched &&
-        ev.kind == EventKind::kDeliver) {
-      // Batch members share the head's tick, so they all lie below the
-      // horizon the head already passed.
-      collect_delivery_batch(ev);
-      dispatch(ev);
-      for (SimEvent& member : batch_) {
-        ++events_processed_;
-        dispatch(member);
-      }
-      batch_.clear();
-      continue;
-    }
-    dispatch(ev);
+    batch_.clear();
   }
-  return queue_.empty() ? WindowOutcome::kDrained : WindowOutcome::kHorizon;
+  return true;
 }
 
 void Simulator::collect_delivery_batch(const SimEvent& head) {
@@ -199,7 +185,7 @@ void Simulator::collect_delivery_batch(const SimEvent& head) {
 void Simulator::dispatch(SimEvent& ev) {
   switch (ev.kind) {
     case EventKind::kCall:
-      ev.fn();
+      queue_.take_call(ev)();
       return;
     case EventKind::kInvoke:
       dispatch_invoke(ev.pid, ev.a);
@@ -208,7 +194,7 @@ void Simulator::dispatch(SimEvent& ev) {
       deliver(static_cast<std::size_t>(ev.a), ev.payload);
       return;
     case EventKind::kTimer:
-      fire_timer(ev.pid, ev.a, TimerTag{ev.tag_kind, ev.tag_ts}, ev.epoch);
+      fire_timer(ev.pid, ev.a, TimerTag{ev.tag_kind, ev.tag_ts()}, ev.epoch);
       return;
     case EventKind::kCrash:
       do_crash(ev.pid);
@@ -306,7 +292,7 @@ void Simulator::send_from(ProcessId from, ProcessId to,
     ev.pid = to;  // destination, so batched delivery can group by recipient
     ev.a = static_cast<std::int64_t>(record_index);
     ev.payload = payload;
-    queue_.push_typed(recv_time, EventPriority::kDelivery, std::move(ev));
+    queue_.push_typed(recv_time, EventPriority::kDelivery, ev);
   }
 
   // Duplicates: each extra copy is an independent transmission with its own
@@ -332,7 +318,7 @@ void Simulator::send_from(ProcessId from, ProcessId to,
     dup_ev.a = static_cast<std::int64_t>(dup_index);
     dup_ev.payload = payload;
     queue_.push_typed(now_ + dup_delay, EventPriority::kDelivery,
-                      std::move(dup_ev));
+                      dup_ev);
   }
 }
 
@@ -352,7 +338,7 @@ void Simulator::deliver(std::size_t record_index,
     ev.pid = to;
     ev.a = static_cast<std::int64_t>(record_index);
     ev.payload = payload;
-    queue_.push_typed(until, EventPriority::kDelivery, std::move(ev));
+    queue_.push_typed(until, EventPriority::kDelivery, ev);
     return;
   }
   trace_.messages[record_index].recv_time = now_;
@@ -390,9 +376,9 @@ TimerId Simulator::set_timer_for(ProcessId pid, Tick local_delta, TimerTag tag) 
   ev.a = id;
   ev.epoch = epoch;
   ev.tag_kind = tag.kind;
-  ev.tag_ts = tag.ts;
+  ev.set_tag_ts(tag.ts);
   queue_.push_typed(now_ + real_delta_for_local(pid, local_delta),
-                    EventPriority::kNormal, std::move(ev));
+                    EventPriority::kNormal, ev);
   return id;
 }
 
@@ -435,8 +421,8 @@ void Simulator::fire_timer(ProcessId pid, TimerId id, TimerTag tag, int epoch) {
       ev.a = id;
       ev.epoch = epoch;
       ev.tag_kind = tag.kind;
-      ev.tag_ts = tag.ts;
-      queue_.push_typed(until, EventPriority::kNormal, std::move(ev));
+      ev.set_tag_ts(tag.ts);
+      queue_.push_typed(until, EventPriority::kNormal, ev);
       return;
     }
   }
@@ -491,7 +477,7 @@ void Simulator::dispatch_invoke(ProcessId pid, std::int64_t token) {
     ev.kind = EventKind::kInvoke;
     ev.pid = pid;
     ev.a = token;
-    queue_.push_typed(until, EventPriority::kNormal, std::move(ev));
+    queue_.push_typed(until, EventPriority::kNormal, ev);
     return;
   }
   if (op_pending_.at(static_cast<std::size_t>(pid))) {

@@ -4,7 +4,9 @@
 // decisions, and replayed byte-identically from its repro bundle.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "chaos/chaos.h"
 #include "chaos/search.h"
@@ -176,6 +178,34 @@ INSTANTIATE_TEST_SUITE_P(Mutants, PlantedMutantTest,
                            }
                            return name;
                          });
+
+TEST(ChaosRepro, RecoverableRejoinLivelockQuiesces) {
+  // p0, p2 and p1 crash and recover in turn (max_down = 1 throughout); two
+  // dropped frames lose p0's first JoinRequests, and the last joined copy
+  // dies with p1.  Every replica is then mid-rejoin and none can answer a
+  // JoinRequest.  Unbounded retries re-broadcast them forever and the
+  // watchdog aborted the run; bounded by the link's max_attempts, the run
+  // quiesces with the deferred operations pending, and the judge rules on
+  // it (out of coverage: the run crashed and dropped).
+  const std::string path =
+      std::string(LINBOUND_TEST_DATA_DIR) +
+      "/recoverable_rejoin_livelock.chaosrepro";
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::string error;
+  const auto bundle = read_repro_bundle(in, &error);
+  ASSERT_TRUE(bundle.has_value()) << error;
+  const ReplayOutcome outcome = replay_bundle(*bundle);
+  EXPECT_NE(outcome.result.verdict, ChaosVerdict::kAborted)
+      << outcome.result.detail;
+  EXPECT_EQ(outcome.result.status, RunStatus::kStalled);
+  EXPECT_EQ(outcome.result.link_give_ups, 0);
+  EXPECT_TRUE(outcome.verdict_matches)
+      << chaos_verdict_name(outcome.result.verdict) << " vs expected "
+      << chaos_verdict_name(bundle->expected_verdict);
+  EXPECT_TRUE(outcome.hash_matches)
+      << "replayed trace hash " << outcome.result.trace_hash;
+}
 
 TEST(ReproBundleIo, RejectsMalformedBundles) {
   EXPECT_FALSE(repro_bundle_from_string("not a bundle").has_value());

@@ -6,9 +6,40 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "seed_heap.h"
 
 namespace linbound {
 namespace {
+
+/// Pop the next event and run its closure.
+void fire_next(EventQueue& q) {
+  SimEvent ev = q.pop();
+  q.take_call(ev)();
+}
+
+TEST(EventQueue, EventFitsOneCacheLine) {
+  EXPECT_LE(sizeof(SimEvent), 64u);
+}
+
+TEST(EventQueue, TakeCallRecyclesClosureSlots) {
+  EventQueue q;
+  int fired = 0;
+  for (int round = 0; round < 3; ++round) {
+    q.push(round, [&] { ++fired; });
+    SimEvent ev = q.pop();
+    EXPECT_EQ(ev.kind, EventKind::kCall);
+    EXPECT_GE(ev.fn_slot, 0);
+    q.take_call(ev)();
+    EXPECT_EQ(ev.fn_slot, -1);
+    EXPECT_FALSE(q.take_call(ev));  // taken once; the slot is recycled
+  }
+  EXPECT_EQ(fired, 3);
+  SimEvent typed;
+  typed.kind = EventKind::kTimer;
+  q.push_typed(9, EventPriority::kNormal, typed);
+  SimEvent popped = q.pop();
+  EXPECT_FALSE(q.take_call(popped));  // typed events park nothing
+}
 
 TEST(EventQueue, EmptyInitially) {
   EventQueue q;
@@ -22,7 +53,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(30, [&] { fired.push_back(30); });
   q.push(10, [&] { fired.push_back(10); });
   q.push(20, [&] { fired.push_back(20); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{10, 20, 30}));
 }
 
@@ -32,7 +63,7 @@ TEST(EventQueue, TieBreaksByInsertionOrder) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&fired, i] { fired.push_back(i); });
   }
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i)], i);
 }
 
@@ -43,7 +74,7 @@ TEST(EventQueue, MixedTimesAndTies) {
   q.push(1, [&] { fired.push_back({1, 0}); });
   q.push(2, [&] { fired.push_back({2, 1}); });
   q.push(1, [&] { fired.push_back({1, 1}); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   ASSERT_EQ(fired.size(), 4u);
   EXPECT_EQ(fired[0], (std::pair<Tick, int>{1, 0}));
   EXPECT_EQ(fired[1], (std::pair<Tick, int>{1, 1}));
@@ -84,7 +115,7 @@ TEST(EventQueue, DeliveriesOutrankTimersAtEqualTimes) {
   q.push(10, EventPriority::kDelivery, [&] { fired.push_back(0); });
   q.push(10, [&] { fired.push_back(2); });
   q.push(10, EventPriority::kDelivery, [&] { fired.push_back(0); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{0, 0, 1, 2}));
 }
 
@@ -94,7 +125,7 @@ TEST(EventQueue, PriorityDoesNotLeakAcrossTimes) {
   q.push(5, [&] { fired.push_back(5); });
   q.push(4, EventPriority::kDelivery, [&] { fired.push_back(4); });
   q.push(3, [&] { fired.push_back(3); });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{3, 4, 5}));
 }
 
@@ -105,14 +136,14 @@ TEST(EventQueue, PushDuringDrainIsAllowed) {
     fired.push_back(1);
     q.push(2, [&] { fired.push_back(2); });
   });
-  while (!q.empty()) q.pop().fire();
+  while (!q.empty()) fire_next(q);
   EXPECT_EQ(fired, (std::vector<int>{1, 2}));
 }
 
 // ---------------------------------------------------------------------------
-// Calendar queue vs the seed binary heap: the two implementations must agree
-// on every pop -- (time, priority, seq) plus the payload operand -- for any
-// interleaving of pushes and pops.  The fuzzers below drive both through
+// Calendar queue vs the seed binary heap (tests/seed_heap.h): the two must
+// agree on every pop -- (time, priority, seq) plus the payload operand -- for
+// any interleaving of pushes and pops.  The fuzzers below drive both through
 // identical streams chosen to hit every calendar path: dense tie-heavy
 // buckets, in-window spreads, the level-1 wheel and window rotation
 // (far-future times), the far rung beyond the wheel span plus wheel
@@ -121,18 +152,18 @@ TEST(EventQueue, PushDuringDrainIsAllowed) {
 
 /// Pop both queues once and compare the full ordering key.  Returns false
 /// (after flagging) on the first divergence so callers can stop early.
-bool same_pop(EventQueue& cal, EventQueue& heap, Tick* popped_time) {
+bool same_pop(EventQueue& cal, seed::SeedHeap& heap, Tick* popped_time) {
   EXPECT_EQ(cal.empty(), heap.empty());
   if (cal.empty() || heap.empty()) return false;
   const SimEvent a = cal.pop();
-  const SimEvent b = heap.pop();
+  const seed::FatEvent b = heap.pop();
   EXPECT_EQ(a.time, b.time);
-  EXPECT_EQ(a.priority, b.priority);
+  EXPECT_EQ(int{a.priority}, b.priority);
   EXPECT_EQ(a.seq, b.seq);
   EXPECT_EQ(a.a, b.a);
   if (popped_time) *popped_time = a.time;
-  return a.time == b.time && a.priority == b.priority && a.seq == b.seq &&
-         a.a == b.a;
+  return a.time == b.time && int{a.priority} == b.priority &&
+         a.seq == b.seq && a.a == b.a;
 }
 
 /// Random interleaved push/pop stream through both impls.  `spread` is the
@@ -142,10 +173,8 @@ bool same_pop(EventQueue& cal, EventQueue& heap, Tick* popped_time) {
 /// past it).  Every step also cross-checks next_time().
 void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
                        double far_p, Tick far_spread, double pop_p) {
-  EventQueue cal(EventQueueImpl::kCalendar);
-  EventQueue heap(EventQueueImpl::kBinaryHeap);
-  ASSERT_EQ(cal.impl(), EventQueueImpl::kCalendar);
-  ASSERT_EQ(heap.impl(), EventQueueImpl::kBinaryHeap);
+  EventQueue cal;
+  seed::SeedHeap heap;
   Rng rng(seed);
   Tick horizon = 0;  // latest popped time
   std::int64_t next_id = 0;
@@ -170,10 +199,13 @@ void differential_fuzz(std::uint64_t seed, int steps, Tick spread,
     SimEvent ev;
     ev.kind = EventKind::kTimer;
     ev.a = next_id++;
+    seed::FatEvent fat;
+    fat.kind = EventKind::kTimer;
+    fat.a = ev.a;
     const EventPriority priority =
         rng.chance(0.5) ? EventPriority::kDelivery : EventPriority::kNormal;
     cal.push_typed(t, priority, ev);
-    heap.push_typed(t, priority, ev);
+    heap.push_typed(t, priority, fat);
   }
   while (!cal.empty()) {
     ASSERT_TRUE(same_pop(cal, heap, nullptr));
@@ -232,7 +264,7 @@ TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
   // order: the far-resident event was necessarily pushed under an older
   // window (or it would have gone onto the wheel), so rotation drains the
   // far rung into the window first.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   SimEvent ev;
   ev.kind = EventKind::kTimer;
   // Beyond the wheel span from the initial window: the far rung.
@@ -257,7 +289,7 @@ TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
 TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
   // One event every ~2.4 windows: every pop after the first crosses empty
   // window space and must rotate straight to the overflow minimum.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int k = 9; k >= 0; --k) q.push(k * 10'000, [] {});
   Tick last = -1;
   int pops = 0;
@@ -274,7 +306,7 @@ TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
 TEST(EventQueueCalendar, EarlyRungFiresBeforeWindow) {
   // Rotate the window forward, then push behind it: the early rung must
   // order those events ahead of everything in the rotated window.
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   q.push(10'000, [] {});  // beyond the initial window: overflow rung
   q.push(1, [] {});
   EXPECT_EQ(q.pop().time, 1);
@@ -288,7 +320,7 @@ TEST(EventQueueCalendar, EarlyRungFiresBeforeWindow) {
 }
 
 TEST(EventQueueCalendar, DrainThenReuse) {
-  EventQueue q(EventQueueImpl::kCalendar);
+  EventQueue q;
   for (int round = 0; round < 3; ++round) {
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.next_time(), kTimeInfinity);
@@ -307,16 +339,14 @@ TEST(EventQueueCalendar, DrainThenReuse) {
 }
 
 TEST(EventQueue, ReserveKeepsBehavior) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EventQueue q(impl);
-    q.reserve(10'000);
-    q.push(2, [] {});
-    q.push(1, [] {});
-    EXPECT_EQ(q.size(), 2u);
-    EXPECT_EQ(q.pop().time, 1);
-    EXPECT_EQ(q.pop().time, 2);
-  }
+  EventQueue q;
+  q.reserve(10'000);
+  q.warm_buckets(4);
+  q.push(2, [] {});
+  q.push(1, [] {});
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().time, 1);
+  EXPECT_EQ(q.pop().time, 2);
 }
 
 TEST(EventQueue, LogRecordsInterleaving) {
@@ -340,15 +370,12 @@ TEST(EventQueue, LogRecordsInterleaving) {
 
 #if GTEST_HAS_DEATH_TEST && !defined(NDEBUG)
 TEST(EventQueueDeathTest, PopOnEmptyAssertsInDebug) {
-  for (const EventQueueImpl impl :
-       {EventQueueImpl::kCalendar, EventQueueImpl::kBinaryHeap}) {
-    EXPECT_DEATH(
-        {
-          EventQueue q(impl);
-          q.pop();
-        },
-        "empty");
-  }
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        q.pop();
+      },
+      "empty");
 }
 
 TEST(EventQueueDeathTest, PopAfterDrainAssertsInDebug) {

@@ -114,30 +114,34 @@ TEST(Shard, DifferentialFuzzAcrossShardCountsAndConfigs) {
   }
 }
 
-/// Batched delivery (the default) vs the seed per-message loop: every
-/// parallel batched run must hash identically to the per-message solo
-/// references, shard by shard, at every jobs count.
-void expect_delivery_identity(ShardOptions options) {
-  options.delivery_mode = DeliveryMode::kPerMessage;
+/// Pinned per-shard hashes: every solo reference and every parallel run
+/// at jobs 1/2/4 must hash to the values recorded when the seed's
+/// per-message delivery loop still existed and agreed with batching.
+void expect_pinned_hashes(const ShardOptions& options,
+                          const std::vector<std::uint64_t>& expected) {
   ShardedSimulation reference(options);
   std::vector<std::uint64_t> solo;
   for (int s = 0; s < options.shards; ++s) {
     solo.push_back(reference.run_solo(s).trace_hash);
   }
-  options.delivery_mode = DeliveryMode::kBatched;
+  EXPECT_EQ(solo, expected) << "solo reference hashes moved";
   for (int jobs : {1, 2, 4}) {
     ShardedSimulation sim(options);
-    EXPECT_EQ(hashes_of(sim.run(jobs)), solo)
-        << "batched delivery diverged from the per-message reference at "
-           "--jobs "
-        << jobs;
+    EXPECT_EQ(hashes_of(sim.run(jobs)), expected)
+        << "parallel run diverged from the pinned hashes at --jobs " << jobs;
   }
 }
 
-TEST(Shard, BatchedDeliveryMatchesPerMessageReferences) {
-  expect_delivery_identity(base_options(4, 48));
-  expect_delivery_identity(faulted_options(3));
-  expect_delivery_identity(churned_options(3));
+TEST(Shard, BatchedDeliveryHashesPinned) {
+  expect_pinned_hashes(base_options(4, 48),
+                       {0xa7fb8813f801bacfull, 0x634da33db9769fa7ull,
+                        0x174e4fe33c2c0ca9ull, 0xabd665a9fbc0f4f3ull});
+  expect_pinned_hashes(faulted_options(3),
+                       {0x187ada28100109a9ull, 0xf2858be8a3cd872aull,
+                        0xe751fe7ae5ba3d8aull});
+  expect_pinned_hashes(churned_options(3),
+                       {0x7815ca5307ca02cfull, 0x8d3f3589d5771c1aull,
+                        0x3dbf46bb8163f5c5ull});
 }
 
 TEST(Shard, RunsAreDeterministicAcrossRepeats) {
