@@ -352,7 +352,10 @@ class Walker {
       const Value determined =
           accessor ? next.apply_accessor(op.op) : next.apply(op.op);
       if (!(determined == op.ret)) {
-        record_explanation(mismatch_text(op, state, determined));
+        // Only the first explanation is kept: build text only until then.
+        if (explanation_.empty()) {
+          explanation_ = mismatch_text(op, state, determined);
+        }
         continue;
       }
       ++frontier_[p];

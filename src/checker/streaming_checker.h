@@ -45,12 +45,13 @@
 //
 //   3. Pipelining.  With jobs <= 1 the checker runs inline inside the
 //      simulator hooks (how per-shard checking rides the PDES drain).  With
-//      jobs > 1 the hooks only copy events into a bounded SPSC ring and a
-//      dedicated checker thread drains it -- simulation and checking
-//      overlap, and a full ring blocks the *producer's wall clock* only:
-//      the simulated event schedule, and therefore the trace, is untouched.
-//      The checker consumes the identical event sequence either way, so its
-//      entire output is trivially jobs-invariant.
+//      jobs > 1 the hooks only copy events into a bounded SPSC ring, which
+//      they publish a batch at a time, and a dedicated checker thread drains
+//      it -- simulation and checking overlap, and a full ring blocks the
+//      *producer's wall clock* only: the simulated event schedule, and
+//      therefore the trace, is untouched.  The checker consumes the
+//      identical event sequence either way, so its entire output is
+//      trivially jobs-invariant.
 #pragma once
 
 #include <cstddef>
@@ -63,6 +64,10 @@
 
 namespace linbound {
 
+/// Events the pipelined producer stages before publishing them to the
+/// checker thread in one step (fewer when ring_capacity is smaller).
+inline constexpr std::size_t kStreamingHandoffBatch = 512;
+
 struct StreamingCheckOptions {
   /// One budget for the whole run, CheckLimits semantics (a single counter
   /// across every segment enumeration and the final-window search; the one
@@ -72,7 +77,8 @@ struct StreamingCheckOptions {
   /// and a checker worker thread.  Verdict/witness/explanation identical at
   /// every value.
   int jobs = 1;
-  /// Bounded SPSC ring capacity (events) for the pipelined mode.
+  /// Bounded SPSC ring capacity (events) for the pipelined mode; the
+  /// producer blocks (wall clock only) while this many are unconsumed.
   std::size_t ring_capacity = 4096;
 };
 

@@ -67,6 +67,12 @@ CheckResult offline(const ObjectModel& model, const Trace& trace,
   return check_linearizable_with_pending(model, history, pending, limits);
 }
 
+/// Ring capacities that put the pipelined handoff at its edges: one event
+/// per batch, and a ring just short of, exactly, and just past one batch.
+constexpr std::size_t kRingCapacities[] = {1, kStreamingHandoffBatch - 1,
+                                           kStreamingHandoffBatch,
+                                           kStreamingHandoffBatch + 1};
+
 /// The contract under test: ok and witness byte-identical; explanations
 /// non-empty on the same runs (their text may legitimately differ -- eager
 /// retirement gives up the offline traversal order between segments).
@@ -74,31 +80,52 @@ void expect_matches_offline(const ObjectModel& model, const Trace& trace,
                             const char* label) {
   const CheckResult expected = offline(model, trace);
   CheckResult at_jobs1;
+  bool have_jobs1 = false;
   for (const int jobs : {1, 2, 4}) {
-    StreamingCheckOptions so;
-    so.jobs = jobs;
-    so.ring_capacity = 64;
-    const CheckResult got = streaming_check_trace(model, trace, so);
-    EXPECT_EQ(expected.ok, got.ok) << label << " jobs=" << jobs;
-    EXPECT_EQ(expected.witness, got.witness) << label << " jobs=" << jobs;
-    if (!expected.ok) {
-      // On failure both paths explain themselves; the texts may differ
-      // (eager retirement changes which branch is reached first).
-      EXPECT_FALSE(got.explanation.empty()) << label << " jobs=" << jobs;
-    } else {
-      EXPECT_TRUE(got.explanation.empty()) << label << " jobs=" << jobs
-                                           << ": " << got.explanation;
-    }
-    if (jobs == 1) {
-      at_jobs1 = got;
-    } else {
-      // Across jobs values the streaming output is fully byte-identical,
-      // explanation and counters included (same core, same event sequence).
-      EXPECT_EQ(at_jobs1.explanation, got.explanation) << label;
-      EXPECT_EQ(at_jobs1.states_explored, got.states_explored) << label;
-      EXPECT_EQ(at_jobs1.segments, got.segments) << label;
+    for (const std::size_t capacity : kRingCapacities) {
+      // jobs=1 feeds the core inline and ignores ring_capacity: run it once.
+      if (jobs == 1 && capacity != kRingCapacities[0]) break;
+      StreamingCheckOptions so;
+      so.jobs = jobs;
+      so.ring_capacity = capacity;
+      const CheckResult got = streaming_check_trace(model, trace, so);
+      const std::string at = std::string(label) + " jobs=" +
+                             std::to_string(jobs) +
+                             " ring=" + std::to_string(capacity);
+      EXPECT_EQ(expected.ok, got.ok) << at;
+      EXPECT_EQ(expected.witness, got.witness) << at;
+      if (!expected.ok) {
+        // On failure both paths explain themselves; the texts may differ
+        // (eager retirement changes which branch is reached first).
+        EXPECT_FALSE(got.explanation.empty()) << at;
+      } else {
+        EXPECT_TRUE(got.explanation.empty()) << at << ": " << got.explanation;
+      }
+      if (!have_jobs1) {
+        at_jobs1 = got;
+        have_jobs1 = true;
+        continue;
+      }
+      // Across jobs values and ring sizes the streaming output is fully
+      // byte-identical, explanation and counters included (same core, same
+      // event sequence).
+      EXPECT_EQ(at_jobs1.explanation, got.explanation) << at;
+      EXPECT_EQ(at_jobs1.states_explored, got.states_explored) << at;
+      EXPECT_EQ(at_jobs1.memo_hits, got.memo_hits) << at;
+      EXPECT_EQ(at_jobs1.segments, got.segments) << at;
+      EXPECT_EQ(at_jobs1.max_resident_states, got.max_resident_states) << at;
     }
   }
+}
+
+/// Events a streaming replay of `trace` feeds: an invocation per dispatched
+/// operation plus a response per completed one.
+std::size_t event_count(const Trace& trace) {
+  std::size_t n = 0;
+  for (const OperationRecord& rec : trace.ops) {
+    if (rec.invoke_time != kNoTime) n += rec.completed() ? 2 : 1;
+  }
+  return n;
 }
 
 // --- online cut rules --------------------------------------------------------
@@ -259,20 +286,74 @@ Trace wide_frontier_trace(int width) {
   return make_trace(std::move(ops));
 }
 
+/// The wide frontier as a retired segment: its enqueues are followed by a
+/// long strictly sequential tail, so the pipelined checker enumerates the
+/// wide segment (and trips a small budget) on its worker thread while the
+/// producer still has thousands of events to hand over.
+Trace wide_frontier_then_tail(int width, int tail_ops) {
+  std::vector<OperationRecord> ops;
+  for (int p = 0; p < width; ++p) {
+    ops.push_back(done(static_cast<ProcessId>(p), queue_ops::enqueue(100 + p),
+                       Value::unit(), 0, 1));
+  }
+  for (int i = 0; i < tail_ops; ++i) {
+    const Tick t = 10 + 10 * static_cast<Tick>(i);
+    ops.push_back(done(0, queue_ops::peek(), Value(100), t, t + 5));
+  }
+  return make_trace(std::move(ops));
+}
+
 TEST(StreamingChecker, StateBudgetTripsAtEveryJobsValue) {
   QueueModel model;
-  const Trace trace = wide_frontier_trace(6);
-  for (const int jobs : {1, 2}) {
+  // The first trips in the final-window search at finalize(); the second
+  // on the worker mid-stream, which must drop the rest of the stream (never
+  // wedge the producer, even one event at a time) and rethrow at
+  // finalize().
+  const Trace traces[] = {wide_frontier_trace(6),
+                          wide_frontier_then_tail(6, 3000)};
+  for (const Trace& trace : traces) {
+    for (const int jobs : {1, 2}) {
+      for (const std::size_t capacity : {std::size_t{4096}, std::size_t{1}}) {
+        StreamingCheckOptions so;
+        so.jobs = jobs;
+        so.ring_capacity = capacity;
+        so.limits.max_states = 50;
+        try {
+          streaming_check_trace(model, trace, so);
+          FAIL() << "expected the state budget to trip at jobs=" << jobs
+                 << " ring=" << capacity;
+        } catch (const std::runtime_error& e) {
+          const std::string what = e.what();
+          EXPECT_NE(what.find("state budget"), std::string::npos) << what;
+          EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(StreamingChecker, DestroyedMidStreamWithoutFinalize) {
+  // A pipelined checker dropped with events still staged (the last batch
+  // is partial and unpublished) and its worker mid-stream must shut down
+  // cleanly: no hang, no leak, no access after free.
+  RegisterModel model;
+  const Trace trace = make_trace([] {
+    std::vector<OperationRecord> ops;
+    for (int i = 0; i < 700; ++i) {
+      const Tick t = 10 * static_cast<Tick>(i);
+      ops.push_back(done(i % 2, reg::write(i), Value::unit(), t, t + 5));
+    }
+    return ops;
+  }());
+  ASSERT_NE(event_count(trace) % kStreamingHandoffBatch, 0u);
+  for (const std::size_t capacity : {std::size_t{4096}, std::size_t{1}}) {
     StreamingCheckOptions so;
-    so.jobs = jobs;
-    so.limits.max_states = 50;
-    try {
-      streaming_check_trace(model, trace, so);
-      FAIL() << "expected the state budget to trip at jobs=" << jobs;
-    } catch (const std::runtime_error& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("state budget"), std::string::npos) << what;
-      EXPECT_NE(what.find("max_states=50"), std::string::npos) << what;
+    so.jobs = 2;
+    so.ring_capacity = capacity;
+    StreamingChecker checker(model, so);
+    for (const OperationRecord& rec : trace.ops) {
+      checker.on_invoke(rec);
+      checker.on_response(rec);
     }
   }
 }
@@ -347,6 +428,10 @@ TEST_P(StreamingCheckerFuzz, RegisterTracesMatchOffline) {
         random_trace(*model, pool, 3, 9, rng, /*allow_pending=*/iter % 2 == 1);
     expect_matches_offline(*model, trace, "register fuzz");
   }
+  // One long trace: several handoff batches, the last one partial.
+  const Trace trace = random_trace(*model, pool, 3, 701, rng, true);
+  ASSERT_NE(event_count(trace) % kStreamingHandoffBatch, 0u);
+  expect_matches_offline(*model, trace, "long register fuzz");
 }
 
 TEST_P(StreamingCheckerFuzz, QueueTracesMatchOffline) {
@@ -455,6 +540,7 @@ struct LiveRun {
   CheckResult live;        ///< the attached checker's verdict
   CheckResult replay;      ///< streaming_check_trace over the final trace
   CheckResult off;         ///< offline serial verdict
+  Trace trace;
   std::size_t ops_seen = 0;
   std::size_t max_window = 0;
 };
@@ -495,6 +581,7 @@ LiveRun run_heavy_checked(bool faulted, int streaming_jobs, bool attach) {
   EXPECT_TRUE(system.sim().run());
   LiveRun out;
   out.serialized = trace_to_string(system.sim().trace());
+  out.trace = system.sim().trace();
   if (attach) {
     out.live = checker.finalize();
     out.ops_seen = checker.ops_seen();
@@ -525,6 +612,10 @@ TEST_P(StreamingCheckerLive, LiveTapMatchesReplayAndOffline) {
     EXPECT_LT(run.max_window, 300u / 2);
     EXPECT_LT(run.live.max_resident_states, run.off.max_resident_states + 300);
   }
+  // The same linearizable run through every jobs value and ring edge.
+  const LiveRun run = run_heavy_checked(faulted, 1, /*attach=*/false);
+  ASSERT_NE(event_count(run.trace) % kStreamingHandoffBatch, 0u);
+  expect_matches_offline(RegisterModel(), run.trace, "live run");
 }
 
 TEST_P(StreamingCheckerLive, AttachingTheTapNeverChangesTheTrace) {
