@@ -73,8 +73,9 @@ struct HeavyTrafficOptions {
   std::size_t payload_bytes_per_op = 0;
   /// Per-process timer-slot pool to pre-size; 0 = demand growth.
   std::size_t timer_slots_per_process = 0;
-  /// Calendar bucket lane warm (same-tick events per priority lane);
-  /// 0 = lanes warm up over the first window.
+  /// Ignored: the event queue's slot pool is sized from the pending-event
+  /// peak alone (sim/pool_set.h).  Kept only because the benchmark driver
+  /// still sets it; slated for deletion.
   std::size_t events_per_tick = 0;
 };
 

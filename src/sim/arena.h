@@ -3,19 +3,19 @@
 // Every send used to heap-allocate a shared_ptr control block plus the
 // payload itself and refcount it through the event queue.  Payloads are
 // immutable after construction and never outlive their run, so a run-scoped
-// arena fits exactly: allocation is a pointer bump into a chunk, ownership
+// arena fits exactly: allocation is a pointer bump into a region, ownership
 // is the arena's alone (everyone else holds `const T*`), and the whole
-// population dies with the Simulator.  Non-trivially-destructible payloads
-// register themselves on an intrusive list (its nodes live in the arena
-// too) and are destroyed in reverse construction order.
+// population dies with the Simulator.  The arena's memory is a list of
+// regions threaded through their own headers, so reserving one costs
+// exactly one allocation.  Non-trivially-destructible payloads register
+// themselves on an intrusive list (its nodes live in the arena too) and are
+// destroyed in reverse construction order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace linbound {
 
@@ -43,42 +43,31 @@ class PayloadArena {
   }
 
   std::size_t objects() const { return objects_; }
-  std::size_t bytes_reserved() const {
-    return (chunks_.size() + spare_.size()) * kChunkSize;
-  }
-  /// Bytes of chunk space consumed so far (whole chunks for all but the
-  /// tail; oversized chunks undercount slightly) -- what reserve_bytes
-  /// should have covered for an allocation-free run.
-  std::size_t bytes_used() const {
-    return chunks_.empty() ? 0 : (chunks_.size() - 1) * kChunkSize + used_;
-  }
 
-  /// Pre-allocate enough chunks for `bytes` of payloads (rounded up to
-  /// whole chunks) into a spare pool the bump allocator draws from.  The
+  /// Make `bytes` of payload space available in one allocation: unless the
+  /// current bump region already has that much left, a fresh region of
+  /// exactly `bytes` becomes the one the bump allocator draws from.  The
   /// arena grows monotonically for a run's lifetime, so covering the whole
   /// run's payload volume here is what makes the steady-state send path
-  /// allocation-free -- a warm-up alone cannot, since fresh chunks would
-  /// still be needed mid-run.  Never shrinks; oversized one-off requests
-  /// (> 64 KiB) still allocate their dedicated chunk directly.
+  /// allocation-free.  The region's pages are touched only as payloads
+  /// reach them.  A region that runs out falls back to 64 KiB regions, and
+  /// oversized requests (> 64 KiB) get a dedicated one.
   void reserve_bytes(std::size_t bytes) {
-    const std::size_t want = (bytes + kChunkSize - 1) / kChunkSize;
-    // The chunk-pointer vectors grow by doubling like any vector; size them
-    // here too, or their reallocations would be the hot path's last
-    // remaining heap activity.
-    if (spare_.capacity() < want) spare_.reserve(want);
-    if (chunks_.capacity() < want) chunks_.reserve(want);
-    while (spare_.size() < want) {
-      spare_.emplace_back(new char[kChunkSize]);
-    }
+    if (static_cast<std::size_t>(end_ - cur_) >= bytes) return;
+    cur_ = new_region(bytes);
+    end_ = cur_ + bytes;
   }
 
-  /// Destroy everything and release the chunks (also run by the dtor).
+  /// Destroy everything and release the regions (also run by the dtor).
   void clear() {
     for (DtorNode* n = dtors_; n != nullptr; n = n->next) n->destroy(n->obj);
     dtors_ = nullptr;
-    chunks_.clear();
-    spare_.clear();
-    used_ = 0;
+    while (regions_ != nullptr) {
+      Region* prev = regions_->prev;
+      ::operator delete(regions_);
+      regions_ = prev;
+    }
+    cur_ = end_ = nullptr;
     objects_ = 0;
   }
 
@@ -91,26 +80,34 @@ class PayloadArena {
     DtorNode* next;
   };
 
+  /// Header of every region; the payload bytes follow it, max-aligned.
+  struct alignas(alignof(std::max_align_t)) Region {
+    Region* prev;
+  };
+
+  /// Allocate a region with `bytes` of payload space, link it, return its
+  /// first payload byte.
+  char* new_region(std::size_t bytes) {
+    auto* region = static_cast<Region*>(::operator new(sizeof(Region) + bytes));
+    region->prev = regions_;
+    regions_ = region;
+    return reinterpret_cast<char*>(region + 1);
+  }
+
   void* allocate(std::size_t size, std::size_t align) {
-    // Oversized requests get a dedicated chunk; the common case bumps the
-    // tail chunk's cursor.
+    // Oversized requests get a dedicated region; the common case bumps the
+    // current region's cursor.
     if (size + align > kChunkSize) {
-      chunks_.emplace_back(new char[size + align]);
-      used_ = kChunkSize;  // force a fresh chunk for the next small request
-      return align_ptr(chunks_.back().get(), align);
+      return align_ptr(new_region(size + align), align);
     }
-    if (chunks_.empty() || used_ + size + align > kChunkSize) {
-      if (!spare_.empty()) {
-        chunks_.push_back(std::move(spare_.back()));
-        spare_.pop_back();
-      } else {
-        chunks_.emplace_back(new char[kChunkSize]);
-      }
-      used_ = 0;
+    char* aligned = align_ptr(cur_, align);
+    const auto pad = static_cast<std::size_t>(aligned - cur_);
+    if (static_cast<std::size_t>(end_ - cur_) < pad + size) {
+      cur_ = new_region(kChunkSize);
+      end_ = cur_ + kChunkSize;
+      aligned = align_ptr(cur_, align);
     }
-    char* base = chunks_.back().get() + used_;
-    char* aligned = align_ptr(base, align);
-    used_ = static_cast<std::size_t>(aligned - chunks_.back().get()) + size;
+    cur_ = aligned + size;
     return aligned;
   }
 
@@ -120,9 +117,9 @@ class PayloadArena {
     return p + (aligned - addr);
   }
 
-  std::vector<std::unique_ptr<char[]>> chunks_;
-  std::vector<std::unique_ptr<char[]>> spare_;  ///< pre-reserved, unused chunks
-  std::size_t used_ = 0;  ///< bytes consumed in the tail chunk
+  Region* regions_ = nullptr;  ///< newest region; each links its predecessor
+  char* cur_ = nullptr;        ///< bump cursor in the current region
+  char* end_ = nullptr;        ///< end of the current region
   std::size_t objects_ = 0;
   DtorNode* dtors_ = nullptr;
 };

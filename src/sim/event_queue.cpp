@@ -7,7 +7,7 @@
 namespace linbound {
 
 EventQueue::EventQueue() {
-  buckets_.resize(kWindow);
+  lanes_.resize(2 * kWindow);
   l1_.resize(kL1);
 }
 
@@ -56,7 +56,7 @@ std::uint64_t EventQueue::push_typed(Tick time, EventPriority priority,
   if (static_cast<std::size_t>(off) < cursor_) {
     cursor_ = static_cast<std::size_t>(off);
   }
-  bucket_insert(ev);
+  bucket_link(alloc_slot(ev));
   return seq;
 }
 
@@ -76,16 +76,17 @@ SimEvent EventQueue::pop() {
   }
   if (calendar_live_ == 0) rotate();
   --size_;
-  const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow && "calendar queue lost track of a live bucket");
-  Bucket& bucket = buckets_[off];
-  const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
-  assert(bucket.pos[lane] < bucket.lane[lane].size());
-  const SimEvent out = bucket.lane[lane][bucket.pos[lane]];
-  ++bucket.pos[lane];
+  const std::size_t lane = front_lane();
+  Chain& chain = lanes_[lane];
+  const std::int32_t slot = chain.head;
+  const SimEvent out = pool_[static_cast<std::size_t>(slot)];
+  chain.head = next_[static_cast<std::size_t>(slot)];
+  if (chain.head < 0) chain.tail = -1;
+  next_[static_cast<std::size_t>(slot)] = free_;
+  free_ = slot;
   --calendar_live_;
-  if (bucket.drained()) {
-    bucket.reset();  // clear() keeps capacity: buckets recycle allocations
+  const std::size_t off = lane / 2;
+  if (lanes_[2 * off].head < 0 && lanes_[2 * off + 1].head < 0) {
     words_[off / 64] &= ~(1ull << (off % 64));
     if (words_[off / 64] == 0) summary_ &= ~(1ull << (off / 64));
     cursor_ = off + 1;
@@ -112,23 +113,14 @@ bool EventQueue::next_matches_delivery(Tick time, ProcessId pid) {
 }
 
 void EventQueue::reserve(std::size_t events) {
-  // The wheel pool absorbs scheduling bursts (batched open-loop invocations
-  // land far in the future), so it is the storage worth pre-sizing.
-  if (l1_pool_.capacity() < events) {
-    l1_pool_.reserve(events);
-    l1_next_.reserve(events);
+  if (pool_.capacity() < events) {
+    pool_.reserve(events);
+    next_.reserve(events);
   }
   // Far-future bursts are kCall-scheduled workload invocations, each of
   // which parks a closure; size the pool with them.
   if (fn_pool_.capacity() < events) fn_pool_.reserve(events);
   if (free_fn_slots_.capacity() < events) free_fn_slots_.reserve(events);
-}
-
-void EventQueue::warm_buckets(std::size_t per_lane) {
-  for (Bucket& bucket : buckets_) {
-    if (bucket.lane[0].capacity() < per_lane) bucket.lane[0].reserve(per_lane);
-    if (bucket.lane[1].capacity() < per_lane) bucket.lane[1].reserve(per_lane);
-  }
 }
 
 // --- binary-heap rungs ------------------------------------------------------
@@ -148,35 +140,33 @@ SimEvent EventQueue::heap_pop(std::vector<SimEvent>& heap) {
 
 // --- calendar machinery -----------------------------------------------------
 
-void EventQueue::l1_insert(SimEvent ev) {
-  const std::size_t idx = wheel_index(ev.time);
-  std::int32_t slot;
-  if (l1_free_ >= 0) {
-    slot = l1_free_;
-    l1_free_ = l1_next_[static_cast<std::size_t>(slot)];
-    l1_pool_[static_cast<std::size_t>(slot)] = ev;
-  } else {
-    slot = static_cast<std::int32_t>(l1_pool_.size());
-    l1_pool_.push_back(ev);
-    l1_next_.push_back(-1);
+std::int32_t EventQueue::alloc_slot(const SimEvent& ev) {
+  if (free_ >= 0) {
+    const std::int32_t slot = free_;
+    free_ = next_[static_cast<std::size_t>(slot)];
+    pool_[static_cast<std::size_t>(slot)] = ev;
+    return slot;
   }
-  l1_next_[static_cast<std::size_t>(slot)] = -1;
-  L1Bucket& chain = l1_[idx];
-  if (chain.tail >= 0) {
-    l1_next_[static_cast<std::size_t>(chain.tail)] = slot;
-  } else {
-    chain.head = slot;
+  pool_.push_back(ev);
+  next_.push_back(-1);
+  return static_cast<std::int32_t>(pool_.size() - 1);
+}
+
+void EventQueue::l1_insert(const SimEvent& ev) {
+  const std::size_t idx = wheel_index(ev.time);
+  Chain& chain = l1_[idx];
+  if (chain.head < 0) {
     l1_words_[idx / 64] |= 1ull << (idx % 64);
     l1_summary_ |= 1ull << (idx / 64);
   }
-  chain.tail = slot;
+  append(chain, alloc_slot(ev));
 }
 
-void EventQueue::bucket_insert(SimEvent ev) {
+void EventQueue::bucket_link(std::int32_t slot) {
+  const SimEvent& ev = pool_[static_cast<std::size_t>(slot)];
   const std::size_t off = static_cast<std::size_t>(ev.time - window_start_);
   assert(off < kWindow);
-  const std::size_t lane = ev.priority == 0 ? 0 : 1;
-  buckets_[off].lane[lane].push_back(ev);
+  append(lanes_[2 * off + (ev.priority == 0 ? 0 : 1)], slot);
   words_[off / 64] |= 1ull << (off % 64);
   summary_ |= 1ull << (off / 64);
   ++calendar_live_;
@@ -227,8 +217,8 @@ void EventQueue::rotate() {
   std::size_t idx = kL1;
   if (l1_summary_ != 0) {
     idx = l1_next_index(wheel_index(window_start_) + 1);
-    new_start = align_down(
-        l1_pool_[static_cast<std::size_t>(l1_[idx].head)].time);
+    new_start =
+        align_down(pool_[static_cast<std::size_t>(l1_[idx].head)].time);
   }
   if (!far_.empty()) {
     const Tick far_start = align_down(far_.front().time);
@@ -243,36 +233,36 @@ void EventQueue::rotate() {
   // lane order must be seq order.  Far pops ascend in (time, priority,
   // seq), so among themselves they also append in order.
   while (!far_.empty() && far_.front().time < window_end) {
-    bucket_insert(heap_pop(far_));
+    bucket_link(alloc_slot(heap_pop(far_)));
   }
   if (idx < kL1 &&
-      align_down(l1_pool_[static_cast<std::size_t>(l1_[idx].head)].time) ==
+      align_down(pool_[static_cast<std::size_t>(l1_[idx].head)].time) ==
           window_start_) {
-    // Migrate the chain in link order (= push = seq order); each record
-    // lands in the new window by construction.
+    // Relink the chain in link order (= push = seq order); each slot lands
+    // in the new window by construction.
     std::int32_t slot = l1_[idx].head;
-    l1_[idx] = L1Bucket{};
+    l1_[idx] = Chain{};
     l1_words_[idx / 64] &= ~(1ull << (idx % 64));
     if (l1_words_[idx / 64] == 0) l1_summary_ &= ~(1ull << (idx / 64));
     while (slot >= 0) {
-      const std::int32_t next = l1_next_[static_cast<std::size_t>(slot)];
-      bucket_insert(l1_pool_[static_cast<std::size_t>(slot)]);
-      l1_next_[static_cast<std::size_t>(slot)] = l1_free_;
-      l1_free_ = slot;
+      const std::int32_t next = next_[static_cast<std::size_t>(slot)];
+      bucket_link(slot);
       slot = next;
     }
   }
   assert(calendar_live_ > 0 && "rotate migrated nothing");
 }
 
+std::size_t EventQueue::front_lane() const {
+  const std::size_t off = next_populated(cursor_);
+  assert(off < kWindow && "calendar queue lost track of a live bucket");
+  return lanes_[2 * off].head >= 0 ? 2 * off : 2 * off + 1;
+}
+
 const SimEvent& EventQueue::front() {
   if (!early_.empty()) return early_.front();
   if (calendar_live_ == 0) rotate();
-  const std::size_t off = next_populated(cursor_);
-  assert(off < kWindow && "calendar queue lost track of a live bucket");
-  const Bucket& bucket = buckets_[off];
-  const std::size_t lane = bucket.pos[0] < bucket.lane[0].size() ? 0 : 1;
-  return bucket.lane[lane][bucket.pos[lane]];
+  return pool_[static_cast<std::size_t>(lanes_[front_lane()].head)];
 }
 
 }  // namespace linbound

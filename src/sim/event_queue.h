@@ -8,22 +8,24 @@
 // simulator's determinism contract: every run is a pure function of its
 // configuration (DESIGN.md "determinism everywhere").
 //
-// The queue is a two-level calendar keyed by tick.  Level 0 is a window of
-// per-tick buckets (two append-only lanes per bucket, one per priority
-// class, drained via cursors) with a two-level bitmap to find the next
-// populated tick.  Level 1 is a timing wheel of kL1 window-sized buckets
-// covering the next ~16.8M ticks; each wheel bucket is an intrusive FIFO
-// chain through a recycled slot pool, so a far-future push is one slot
-// write plus a tail link -- no sifting.  When the window drains it rotates
-// to the nearest populated wheel bucket and migrates that chain (a linear
-// walk) into level 0.  A small binary-heap "far" rung catches times beyond
-// the wheel span, and an "early" rung catches times pushed before the
-// current window start (possible only through out-of-order push patterns
-// in tests; the simulator always pushes at t >= now).  Push and pop are
-// amortized O(1): an event is appended once, migrated at most once, and
-// popped once.  Every structure stores the one SimEvent below -- a single
-// 64-byte cache line, trivially copyable, with kCall closures parked in a
-// side pool -- so each append and migration moves one cache line.
+// The queue is a two-level calendar keyed by tick over one slot pool.
+// Every calendar-resident event lives in a pool slot, and every list of
+// them is an intrusive FIFO chain of slot indices (head/tail pair, links in
+// a parallel array); slots recycle through a free list, so a run whose pool
+// was sized up front never allocates.  Level 0 is a window of per-tick
+// buckets (two chains per bucket, one per priority class) with a two-level
+// bitmap to find the next populated tick.  Level 1 is a timing wheel of
+// kL1 window-sized chains covering the next ~16.8M ticks, so a far-future
+// push is one slot write plus a tail link -- no sifting.  When the window
+// drains it rotates to the nearest populated wheel chain and relinks that
+// chain's slots onto the level-0 chains (a linear walk that moves no
+// event).  A small binary-heap "far" rung catches times beyond the wheel
+// span, and an "early" rung catches times pushed before the current window
+// start (possible only through out-of-order push patterns in tests; the
+// simulator always pushes at t >= now).  Push and pop are amortized O(1):
+// an event is written once, relinked at most once, and popped once.  Every
+// structure stores the one SimEvent below -- a single 64-byte cache line,
+// trivially copyable, with kCall closures parked in a side pool.
 //
 // The seed's binary min-heap over a fat 104-byte event, which this queue
 // replaced, lives on as a test-side reference model (tests/seed_heap.h):
@@ -130,15 +132,10 @@ class EventQueue {
   /// work the subsequent pop would have done anyway).
   bool next_matches_delivery(Tick time, ProcessId pid);
 
-  /// Pre-size internal storage for roughly `events` simultaneously pending
-  /// events (workload size hints; see Simulator::reserve).  Never shrinks.
+  /// Pre-size the slot pool (both calendar levels) and the closure pool
+  /// for roughly `events` simultaneously pending events (workload size
+  /// hints; see Simulator::reserve).  Never shrinks.
   void reserve(std::size_t events);
-
-  /// Pre-size every calendar bucket's lanes for `per_lane` same-tick events.
-  /// Bucket lanes keep their capacity across window rotations, so this plus
-  /// reserve() makes a steady-state run's pushes allocation-free from the
-  /// first event on, instead of after the first window's warm-up.
-  void warm_buckets(std::size_t per_lane);
 
   /// Peak number of simultaneously pending events seen so far -- the pool
   /// high-water mark the reserve() hints should cover.
@@ -192,28 +189,12 @@ class EventQueue {
     return static_cast<std::size_t>(t >> kLogWindow) & (kL1 - 1);
   }
 
-  struct Bucket {
-    /// lane[0] = kDelivery, lane[1] = kNormal; append-only, drained via
-    /// pos[]. Within a lane events carry increasing seq, so lane order ==
-    /// (priority, seq) order and a bucket pops lane 0 before lane 1 --
-    /// exactly the (time, priority, seq) tie-break.
-    std::vector<SimEvent> lane[2];
-    std::size_t pos[2] = {0, 0};
-
-    bool drained() const {
-      return pos[0] >= lane[0].size() && pos[1] >= lane[1].size();
-    }
-    void reset() {
-      lane[0].clear();
-      lane[1].clear();
-      pos[0] = pos[1] = 0;
-    }
-  };
-
-  /// One wheel bucket: an intrusive FIFO chain (head/tail slot indices into
-  /// l1_pool_, links in l1_next_).  Appending at the tail keeps each chain
-  /// in push (= seq) order, which is exactly the order a level-0 lane needs.
-  struct L1Bucket {
+  /// An intrusive FIFO chain: head/tail slot indices into pool_, links in
+  /// next_.  Appending at the tail keeps a chain in push (= seq) order, so a
+  /// level-0 lane -- one chain per (tick, priority) -- pops in exactly the
+  /// (time, priority, seq) order, and a wheel chain relinks onto the lanes
+  /// in that order too.
+  struct Chain {
     std::int32_t head = -1;
     std::int32_t tail = -1;
   };
@@ -221,11 +202,23 @@ class EventQueue {
   /// The event pop() would return, without removing it.  May rotate the
   /// window.  Precondition: size_ > 0.
   const SimEvent& front();
-  /// Append into the bucket for `ev.time` (must lie in the current window).
-  void bucket_insert(SimEvent ev);
-  /// Append onto the wheel chain for `ev.time` (must lie past the window
-  /// but within the wheel span).
-  void l1_insert(SimEvent ev);
+  /// Take a slot from the free list (or grow the pool) and store `ev`.
+  std::int32_t alloc_slot(const SimEvent& ev);
+  /// Append `slot` at the tail of `chain`.
+  void append(Chain& chain, std::int32_t slot) {
+    next_[static_cast<std::size_t>(slot)] = -1;
+    if (chain.tail >= 0) {
+      next_[static_cast<std::size_t>(chain.tail)] = slot;
+    } else {
+      chain.head = slot;
+    }
+    chain.tail = slot;
+  }
+  /// Append `slot` onto its level-0 lane (its time must lie in the window).
+  void bucket_link(std::int32_t slot);
+  /// Append `ev` onto the wheel chain for its time (must lie past the
+  /// window but within the wheel span).
+  void l1_insert(const SimEvent& ev);
   /// Offset (>= from) of the next populated bucket; kWindow when none.
   std::size_t next_populated(std::size_t from) const;
   /// Wheel index (circularly >= from) of the next populated chain; kL1 when
@@ -240,6 +233,8 @@ class EventQueue {
   /// Precondition: no live bucketed event, and the wheel or far rung holds
   /// at least one.  Postcondition: at least one live bucketed event.
   void rotate();
+  /// Index of the lane the next pop takes from (a live level-0 lane).
+  std::size_t front_lane() const;
 
   void log_push(Tick time, int priority) {
     if (log_ && log_->size() < log_cap_) {
@@ -254,19 +249,22 @@ class EventQueue {
   std::size_t size_ = 0;        ///< total events across all structures
   std::size_t high_water_ = 0;  ///< max size_ ever reached
 
-  std::vector<Bucket> buckets_;          ///< index = time - window_start_
+  /// Slot pool shared by both calendar levels; slots recycle through an
+  /// intrusive free list (free_ chains through next_), so a warmed-up run
+  /// never grows it.
+  std::vector<SimEvent> pool_;
+  std::vector<std::int32_t> next_;       ///< chain links, parallel to pool_
+  std::int32_t free_ = -1;               ///< free-slot list head
+
+  /// Level 0: lane 2*off + p is tick window_start_ + off, priority p.
+  std::vector<Chain> lanes_;
   std::uint64_t words_[kWords] = {};     ///< bit b: bucket b populated
   std::uint64_t summary_ = 0;            ///< bit w: words_[w] != 0
-  Tick window_start_ = 0;                ///< first tick covered by buckets_
+  Tick window_start_ = 0;                ///< first tick covered by lanes_
   std::size_t cursor_ = 0;               ///< scan hint: no live bucket below it
-  std::size_t calendar_live_ = 0;        ///< events currently in buckets
-  /// Level-1 wheel: chains indexed by wheel_index(time), slots recycled
-  /// through an intrusive free list (l1_free_ chains through l1_next_), so
-  /// a warmed-up run never grows the pool.
-  std::vector<L1Bucket> l1_;             ///< kL1 chains
-  std::vector<SimEvent> l1_pool_;        ///< chain slot storage
-  std::vector<std::int32_t> l1_next_;    ///< chain links, parallel to l1_pool_
-  std::int32_t l1_free_ = -1;            ///< free-slot list head
+  std::size_t calendar_live_ = 0;        ///< events currently in level 0
+  /// Level 1: chains indexed by wheel_index(time).
+  std::vector<Chain> l1_;
   std::uint64_t l1_words_[kL1Words] = {};  ///< bit b: chain b populated
   std::uint64_t l1_summary_ = 0;           ///< bit w: l1_words_[w] != 0
   /// Far rung: events at time >= window_start_ + kSpan (binary heap; empty

@@ -2,14 +2,15 @@
 //
 // The steady-state op pipeline is allocation-free only if every pool it
 // draws from was sized for the whole run before the first event: trace
-// staging (operation/message records), the future-event list (overflow
-// rung capacity plus calendar bucket lanes), the payload arena (which
-// grows monotonically, so warm-up alone cannot protect it), and the
-// per-process timer slot tables.  A PoolSet bundles those sizes -- all
-// derivable from an open-loop arrival schedule -- and arm() applies them
-// to one Simulator.  The sharded runtime builds one PoolSet per
-// shard-worker from its shard's slice of the schedule; workload
-// generators (core/workload.h) build one from their size hints.
+// staging (operation/message records), the future-event list (one slot
+// pool serves both calendar levels, so its size is the peak number of
+// pending events, not the calendar's width), the payload arena (one region
+// for the whole run's volume: it grows monotonically, so warm-up alone
+// cannot protect it), and the per-process timer slot tables.  A PoolSet
+// bundles those sizes -- all derivable from an open-loop arrival schedule
+// -- and arm() applies them to one Simulator.  The sharded runtime builds
+// one PoolSet per shard-worker from its shard's slice of the schedule;
+// workload generators (core/workload.h) build one from their size hints.
 //
 // Every reservation is a capacity-only hint: behavior and traces are
 // byte-identical with or without it.
@@ -25,19 +26,15 @@ struct PoolSet {
   std::size_t ops = 0;        ///< operation records for the whole run
   std::size_t messages = 0;   ///< message records for the whole run
   std::size_t events = 0;     ///< peak simultaneously pending queue events
-  /// Whole-run payload volume for the arena's spare-chunk pool; 0 skips
-  /// the arena (its chunks then allocate on demand, as before).
+  /// Whole-run payload volume, reserved as one arena region; 0 skips the
+  /// arena (it then grows in 64 KiB regions on demand).
   std::size_t payload_bytes = 0;
-  /// Calendar bucket lane capacity (same-tick events per priority lane);
-  /// 0 leaves lanes to warm up over the first window.
-  std::size_t events_per_tick = 0;
   /// Per-process timer slot pool; 0 leaves the tables to demand growth.
   std::size_t timer_slots = 0;
 
   void arm(Simulator& sim) const {
     sim.reserve(ops, messages, events);
     if (payload_bytes > 0) sim.arena().reserve_bytes(payload_bytes);
-    if (events_per_tick > 0) sim.event_queue().warm_buckets(events_per_tick);
     if (timer_slots > 0) sim.reserve_timer_slots(timer_slots);
   }
 };

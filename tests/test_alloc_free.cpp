@@ -18,6 +18,8 @@
 #include "common/alloc_count.h"
 #include "core/system.h"
 #include "core/workload.h"
+#include "shard/shard.h"
+#include "sim/arena.h"
 #include "types/register_type.h"
 
 namespace linbound {
@@ -28,6 +30,9 @@ constexpr std::size_t kOps = 10'000;
 /// Steady-state allocations per operation allowed to the inline streaming
 /// checker on this run.  It measures 2.52.
 constexpr double kCheckerAllocsPerOp = 3.0;
+/// Heap allocations per shard allowed to a sharded build-and-run.  It
+/// measures 79.5: each shard's Simulator, replicas, workload and pools.
+constexpr double kShardAllocsPerShard = 120.0;
 
 SystemTiming timing() {
   SystemTiming t;
@@ -77,7 +82,6 @@ struct WarmRun {
     w.messages_per_op = 24;
     w.payload_bytes_per_op = 1024;
     w.timer_slots_per_process = 256;
-    w.events_per_tick = 16;
     return w;
   }
 
@@ -144,6 +148,50 @@ TEST(AllocFree, StreamingCheckerSteadyStateAllocationsPerOp) {
               per_op);
   EXPECT_LE(per_op, kCheckerAllocsPerOp);
   EXPECT_TRUE(checker.finalize().ok);
+}
+
+TEST(AllocFree, ArenaReservationIsOneAllocation) {
+  // reserve_bytes(n) is one region; payloads totalling n bytes bump
+  // through it without another allocation.
+  ASSERT_TRUE(alloc_counting_enabled());
+  struct P8 { std::uint64_t a; };
+  struct P24 { std::uint64_t a, b, c; };
+  constexpr std::size_t kBytes = 64 * 1024;
+  PayloadArena arena;
+  const std::uint64_t before = heap_allocs();
+  arena.reserve_bytes(kBytes);
+  std::size_t used = 0;
+  while (used + sizeof(P8) + sizeof(P24) <= kBytes) {
+    arena.make<P8>();
+    arena.make<P24>();
+    used += sizeof(P8) + sizeof(P24);
+  }
+  while (used < kBytes) {
+    arena.make<P8>();
+    used += sizeof(P8);
+  }
+  EXPECT_EQ(heap_allocs() - before, 1u);
+}
+
+TEST(AllocFree, ShardBuildAllocationsPerShard) {
+  // Building and running a shard -- its Simulator, replicas, workload and
+  // pools -- costs a fixed, small number of allocations: no per-shard
+  // structure may scale with the event calendar's width.
+  ASSERT_TRUE(alloc_counting_enabled());
+  constexpr int kShards = 64;
+  ShardOptions o;
+  o.shards = kShards;
+  o.timing = timing();
+  o.total_ops = 16 * kShards;
+  ShardedSimulation sim(o);
+  const std::uint64_t before = heap_allocs();
+  const ShardRunReport report = sim.run(1);
+  const std::uint64_t allocs = heap_allocs() - before;
+  ASSERT_EQ(report.aborted, 0);
+  const double per_shard =
+      static_cast<double>(allocs) / static_cast<double>(kShards);
+  std::printf("sharded run: %.1f allocations per shard\n", per_shard);
+  EXPECT_LE(per_shard, kShardAllocsPerShard);
 }
 
 }  // namespace

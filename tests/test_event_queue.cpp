@@ -263,27 +263,58 @@ TEST(EventQueueCalendar, FarRungMergesBySeqOrder) {
   // A tick split across the far rung and the wheel must still fire in seq
   // order: the far-resident event was necessarily pushed under an older
   // window (or it would have gone onto the wheel), so rotation drains the
-  // far rung into the window first.
+  // far rung into the window first.  The seed heap mirrors every push, and
+  // pops interleave with pushes throughout, so freed slots are reused while
+  // tick T's two lanes hold chains from all three sources: the far rung,
+  // wheel relinking and direct pushes.
+  constexpr Tick kT = 20'000'000;
   EventQueue q;
-  SimEvent ev;
-  ev.kind = EventKind::kTimer;
+  seed::SeedHeap heap;
+  std::int64_t next_id = 0;
+  auto push = [&](Tick t, EventPriority priority) {
+    SimEvent ev;
+    ev.kind = EventKind::kTimer;
+    ev.a = next_id;
+    seed::FatEvent fat;
+    fat.kind = EventKind::kTimer;
+    fat.a = next_id++;
+    heap.push_typed(t, priority, fat);
+    q.push_typed(t, priority, ev);
+  };
+  auto pop = [&] { ASSERT_TRUE(same_pop(q, heap, nullptr)); };
+
   // Beyond the wheel span from the initial window: the far rung.
-  const std::uint64_t far_seq =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  // Advance the window deep enough that tick 20M falls within the span.
-  q.push_typed(4'000'000, EventPriority::kNormal, ev);
-  EXPECT_EQ(q.pop().time, 4'000'000);
+  push(kT, EventPriority::kNormal);
+  push(kT, EventPriority::kDelivery);
+  for (Tick t = 1; t <= 6; ++t) {
+    push(t, t % 2 ? EventPriority::kDelivery : EventPriority::kNormal);
+  }
+  pop();
+  pop();
+  // Advance the window deep enough that tick T falls within the span.
+  push(4'000'000, EventPriority::kNormal);
+  while (q.next_time() < 4'000'000) pop();
+  pop();
   // Same tick again, now within the span: these land on the wheel with
-  // larger seqs.
-  const std::uint64_t wheel_seq1 =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  const std::uint64_t wheel_seq2 =
-      q.push_typed(20'000'000, EventPriority::kNormal, ev);
-  EXPECT_EQ(q.next_time(), 20'000'000);
-  EXPECT_EQ(q.pop().seq, far_seq);
-  EXPECT_EQ(q.pop().seq, wheel_seq1);
-  EXPECT_EQ(q.pop().seq, wheel_seq2);
-  EXPECT_TRUE(q.empty());
+  // larger seqs, interleaved with nearer events that come and go.
+  push(kT, EventPriority::kNormal);
+  push(5'000'000, EventPriority::kNormal);
+  push(kT, EventPriority::kDelivery);
+  pop();
+  push(kT, EventPriority::kNormal);
+  push(kT + 1, EventPriority::kDelivery);
+  EXPECT_EQ(q.next_time(), kT);
+  // Tick T's lanes now hold the far rung's and the wheel's events.  Direct
+  // pushes at T join both lanes and reuse the slots the pops free; the
+  // delivery lane drains and refills on the way.
+  for (int i = 0; i < 4; ++i) {
+    push(kT, EventPriority::kDelivery);
+    push(kT, EventPriority::kNormal);
+    pop();
+    pop();
+  }
+  while (!q.empty()) pop();
+  EXPECT_TRUE(heap.empty());
 }
 
 TEST(EventQueueCalendar, SparseRotationAcrossManyWindows) {
@@ -341,7 +372,6 @@ TEST(EventQueueCalendar, DrainThenReuse) {
 TEST(EventQueue, ReserveKeepsBehavior) {
   EventQueue q;
   q.reserve(10'000);
-  q.warm_buckets(4);
   q.push(2, [] {});
   q.push(1, [] {});
   EXPECT_EQ(q.size(), 2u);

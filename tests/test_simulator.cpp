@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
+
+#include "sim/arena.h"
 
 namespace linbound {
 namespace {
@@ -287,6 +292,136 @@ TEST(Simulator, DeterministicTraces) {
     return recv_times;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// PayloadArena: the bump allocator every message payload lives in.
+// ---------------------------------------------------------------------------
+
+struct alignas(32) Wide32 {
+  std::uint8_t bytes[40];
+};
+struct alignas(64) Wide64 {
+  std::uint8_t bytes[24];
+};
+struct Odd3 {
+  std::uint8_t bytes[3];
+};
+
+bool aligned_to(const void* p, std::size_t align) {
+  return reinterpret_cast<std::uintptr_t>(p) % align == 0;
+}
+
+struct Block {
+  const void* p;
+  std::size_t size;
+  std::uint8_t tag;
+};
+
+/// Construct a T in the arena, check its alignment and stamp its bytes.
+template <typename T>
+Block put(PayloadArena& arena, std::uint8_t tag) {
+  T* obj = arena.make<T>();
+  EXPECT_TRUE(aligned_to(obj, alignof(T)));
+  std::memset(static_cast<void*>(obj), tag, sizeof(T));
+  return {obj, sizeof(T), tag};
+}
+
+/// Allocate `count` objects cycling through mixed sizes and alignments.
+std::vector<Block> fill_mixed(PayloadArena& arena, int count) {
+  std::vector<Block> blocks;
+  for (int i = 0; i < count; ++i) {
+    const auto tag = static_cast<std::uint8_t>(i * 7 + 1);
+    switch (i % 5) {
+      case 0: blocks.push_back(put<char>(arena, tag)); break;
+      case 1: blocks.push_back(put<Odd3>(arena, tag)); break;
+      case 2: blocks.push_back(put<double>(arena, tag)); break;
+      case 3: blocks.push_back(put<Wide32>(arena, tag)); break;
+      default: blocks.push_back(put<Wide64>(arena, tag)); break;
+    }
+  }
+  return blocks;
+}
+
+/// Every block still holds its own stamp: no two allocations overlap.
+void expect_intact(const std::vector<Block>& blocks) {
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const auto* b = static_cast<const std::uint8_t*>(blocks[i].p);
+    for (std::size_t k = 0; k < blocks[i].size; ++k) {
+      if (b[k] != blocks[i].tag) {
+        ADD_FAILURE() << "block " << i << " was overwritten";
+        break;
+      }
+    }
+  }
+}
+
+TEST(PayloadArena, MixedSizesAndAlignments) {
+  PayloadArena arena;
+  arena.reserve_bytes(1 << 20);
+  const std::vector<Block> blocks = fill_mixed(arena, 2'000);
+  expect_intact(blocks);
+  EXPECT_EQ(arena.objects(), 2'000u);
+}
+
+TEST(PayloadArena, ExhaustedReservationFallsBackToFreshRegions) {
+  // A 200-byte reservation runs out within a few objects; the ~100 KB that
+  // follow spill across several fresh 64 KiB regions.
+  PayloadArena arena;
+  arena.reserve_bytes(200);
+  const std::vector<Block> blocks = fill_mixed(arena, 5'000);
+  expect_intact(blocks);
+  // A second reservation the current region cannot cover starts a new one.
+  arena.reserve_bytes(100'000);
+  const std::vector<Block> more = fill_mixed(arena, 1'000);
+  expect_intact(blocks);
+  expect_intact(more);
+}
+
+TEST(PayloadArena, OversizedRequestsGetTheirOwnRegion) {
+  using Big = std::array<std::uint8_t, 100 * 1024>;
+  struct alignas(64) BigAligned {
+    std::uint8_t bytes[70 * 1024];
+  };
+  PayloadArena arena;
+  arena.reserve_bytes(4096);
+  std::vector<Block> blocks = fill_mixed(arena, 20);
+  blocks.push_back(put<Big>(arena, 0xB1));
+  blocks.push_back(put<BigAligned>(arena, 0xB2));
+  // Small requests keep bumping the reserved region.
+  const std::vector<Block> after = fill_mixed(arena, 20);
+  blocks.insert(blocks.end(), after.begin(), after.end());
+  expect_intact(blocks);
+  EXPECT_EQ(arena.objects(), 42u);
+}
+
+/// Appends its id to a shared log when destroyed.
+struct Logged {
+  Logged(std::vector<int>* log, int id) : log(log), id(id) {}
+  ~Logged() { log->push_back(id); }
+  std::vector<int>* log;
+  int id;
+};
+
+TEST(PayloadArena, DestructorsRunOnceInReverseOrder) {
+  std::vector<int> log;
+  {
+    PayloadArena arena;
+    arena.reserve_bytes(64);  // the destructor list spills past it too
+    for (int id = 0; id < 5; ++id) {
+      arena.make<Logged>(&log, id);
+      arena.make<Odd3>();  // trivially destructible: never logged
+    }
+    EXPECT_TRUE(log.empty());
+    arena.clear();
+    EXPECT_EQ(log, (std::vector<int>{4, 3, 2, 1, 0}));
+    EXPECT_EQ(arena.objects(), 0u);
+    arena.clear();  // a second clear destroys nothing again
+    EXPECT_EQ(log.size(), 5u);
+    // The arena is reusable after clear(); its destructor runs the rest.
+    for (int id = 10; id < 13; ++id) arena.make<Logged>(&log, id);
+  }
+  EXPECT_EQ(log, (std::vector<int>{4, 3, 2, 1, 0, 12, 11, 10}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Schema gate for BENCH_perf.json (tools/check_bench_schema.sh [path]).
 #
-# Two rules, both born from real drift:
+# Three rules, all born from real drift:
 #
 #   1. Every "*_speedup" key must carry a "*_speedup_threads" sibling naming
 #      the hardware-thread count of the measurement.  A bare speedup of
@@ -11,6 +11,10 @@
 #   2. The regression-gate keys must be present, so a bench refactor cannot
 #      silently drop the numbers CI and the prose-drift policy (see
 #      bench/bench_throughput.cpp) depend on.
+#   3. The file must be a full-size run: throughput_ops and
+#      streaming_checker_ops at least 1,000,000 and shard_count at least
+#      1024.  A reduced-size smoke run once stood in for the committed
+#      baseline while the prose cited full-size figures.
 #
 # Pure bash + standard tools; no jq dependency.
 set -u
@@ -72,6 +76,28 @@ gate_keys=(
 for key in "${gate_keys[@]}"; do
   if ! has_key "$key"; then
     echo "FAIL: required gate key $key missing" >&2
+    fail=1
+  fi
+done
+
+# Rule 3: full-size run.
+value_of() {
+  sed -n "s/^[[:space:]]*\"$1\":[[:space:]]*\([0-9]*\).*/\1/p" "$json" | head -n 1
+}
+min_sizes=(
+  throughput_ops:1000000
+  streaming_checker_ops:1000000
+  shard_count:1024
+)
+for entry in "${min_sizes[@]}"; do
+  key="${entry%%:*}"
+  min="${entry##*:}"
+  value=$(value_of "$key")
+  if [[ -z "$value" ]]; then
+    echo "FAIL: size key $key missing or not a whole number" >&2
+    fail=1
+  elif (( value < min )); then
+    echo "FAIL: $key is $value, below the full-size $min" >&2
     fail=1
   fi
 done
