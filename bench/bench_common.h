@@ -6,10 +6,12 @@
 // tightness conditions hold and the tables print matching LB/UB columns.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -183,6 +185,67 @@ inline int parse_jobs(int argc, char** argv) {
     }
   }
   return 1;
+}
+
+/// `--flag VALUE` / `--flag=VALUE` from argv, or `fallback` when absent.
+inline std::string parse_flag(int argc, char** argv, const char* flag,
+                              const char* fallback) {
+  const std::size_t flag_len = std::strlen(flag);
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == flag && i + 1 < argc) return argv[i + 1];
+    if (arg.rfind(flag, 0) == 0 && arg.size() > flag_len &&
+        arg[flag_len] == '=') {
+      return arg.substr(flag_len + 1);
+    }
+  }
+  return fallback;
+}
+
+inline std::size_t parse_size(int argc, char** argv, const char* flag,
+                              std::size_t fallback) {
+  const std::string value = parse_flag(argc, argv, flag, "");
+  return value.empty() ? fallback
+                       : static_cast<std::size_t>(std::atoll(value.c_str()));
+}
+
+inline bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], flag) == 0) return true;
+  }
+  return false;
+}
+
+/// Parallelism this box actually delivers right now: `threads` threads each
+/// run the same fixed xorshift spin as one thread alone, and the reading is
+/// threads * t(one) / t(all).  A warm-up round first wakes idle virtual
+/// CPUs, which otherwise read as missing parallelism; a contended box reads
+/// below `threads`.  Printed beside every speedup gate for diagnosis only --
+/// it never arms or waives a gate.
+inline double effective_parallelism(int threads) {
+  constexpr std::uint64_t kWork = 40'000'000;
+  std::atomic<std::uint64_t> sink{0};
+  auto spin_all = [&](int n) {
+    const double t0 = now_seconds();
+    std::vector<std::thread> pool;
+    for (int i = 0; i < n; ++i) {
+      pool.emplace_back([&sink] {
+        std::uint64_t x = 0x9e3779b97f4a7c15ULL;
+        for (std::uint64_t k = 0; k < kWork; ++k) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink += x;
+      });
+    }
+    for (std::thread& t : pool) t.join();
+    return now_seconds() - t0;
+  };
+  spin_all(threads);
+  const double one = spin_all(1);
+  const double all = spin_all(threads);
+  return all > 0 && sink.load() != 0 ? threads * one / all : 0;
 }
 
 inline void print_header(const std::string& title) {

@@ -43,7 +43,6 @@
 // Results merge into BENCH_perf.json under throughput_* keys (JsonReport
 // preserves bench_perf's keys).
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <ostream>
 #include <streambuf>
@@ -227,34 +226,6 @@ double replay_log(const std::vector<std::int64_t>& log, std::uint64_t* sink) {
   const double elapsed = now_seconds() - t0;
   *sink = acc;
   return elapsed;
-}
-
-std::string parse_flag(int argc, char** argv, const char* flag,
-                       const char* fallback) {
-  const std::size_t flag_len = std::strlen(flag);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) return argv[i + 1];
-    if (arg.rfind(flag, 0) == 0 && arg.size() > flag_len &&
-        arg[flag_len] == '=') {
-      return arg.substr(flag_len + 1);
-    }
-  }
-  return fallback;
-}
-
-std::size_t parse_size(int argc, char** argv, const char* flag,
-                       std::size_t fallback) {
-  const std::string value = parse_flag(argc, argv, flag, "");
-  return value.empty() ? fallback
-                       : static_cast<std::size_t>(std::atoll(value.c_str()));
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
 }
 
 /// The `--checked` mode: the fast-shape million-op run again, this time

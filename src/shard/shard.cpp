@@ -1,6 +1,7 @@
 #include "shard/shard.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -386,18 +387,28 @@ ShardRunReport ShardedSimulation::drive(
     }
   }
 
-  exec.map<int>(count, [&](std::size_t i) {
-    if (!states[i]->aborted) run_terminal(*states[i]);
-    // Final-window search on the same worker, right after the drain: the
-    // checked run's only serial tail is per shard, not global.
-    finalize_check(*states[i]);
+  // Terminal phase: one drain -> final-window search -> hash task per
+  // shard, issued heaviest-first (longest-processing-time-first; a shard's
+  // op count prices all three steps), so the hottest shard never starts
+  // last and finishes alone.  Each task touches only its own shard and
+  // report slot, so the order cannot reach any trace or result.
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return loads_[static_cast<std::size_t>(states[a]->shard)] >
+                            loads_[static_cast<std::size_t>(states[b]->shard)];
+                   });
+  report.shards.resize(count);
+  exec.map<int>(count, [&](std::size_t k) {
+    ShardState& state = *states[order[k]];
+    if (!state.aborted) run_terminal(state);
+    finalize_check(state);
+    report.shards[order[k]] = finish_shard(state);
     return 0;
   });
 
-  // Canonical-order aggregation (hashing each trace is the expensive part,
-  // so it runs on the pool; the result vector is ordered by index).
-  report.shards = exec.map<ShardResult>(
-      count, [&](std::size_t i) { return finish_shard(*states[i]); });
+  // Canonical-order aggregation, after every task has finished.
   for (std::size_t i = 0; i < count; ++i) {
     report.beacons += states[i]->beacons_received;
     report.total_events += report.shards[i].events;

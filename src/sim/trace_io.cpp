@@ -1,16 +1,14 @@
 #include "sim/trace_io.h"
 
+#include <charconv>
+#include <cstring>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
+#include <string_view>
 #include <vector>
 
 namespace linbound {
 namespace {
-
-std::string time_or_dash(Tick t) {
-  return t == kNoTime ? std::string("-") : std::to_string(t);
-}
 
 std::optional<Tick> parse_time_or_dash(const std::string& token) {
   if (token == "-") return kNoTime;
@@ -33,31 +31,126 @@ bool fail(std::string* error, const std::string& why) {
   return false;
 }
 
+/// The one `trace v1` emitter.  Each line is formatted into a stack buffer
+/// (integers via std::to_chars, other values via Value::to_string) and
+/// handed to `sink(const char*, std::size_t)` when it ends -- or earlier,
+/// when a long value would overflow the buffer -- so write_trace and
+/// hash_trace see the same bytes in the same order.  Handing over a line at
+/// a time, not a full buffer, lets the CPU hash one line while it formats
+/// the next.
+template <typename Sink>
+class TraceEmitter {
+ public:
+  explicit TraceEmitter(Sink& sink) : sink_(sink) {}
+
+  void put(char c) {
+    if (used_ == sizeof buf_) flush();
+    buf_[used_++] = c;
+  }
+  void put(std::string_view s) {
+    if (s.size() > sizeof buf_ - used_) {
+      flush();
+      if (s.size() > sizeof buf_) {
+        sink_(s.data(), s.size());
+        return;
+      }
+    }
+    std::memcpy(buf_ + used_, s.data(), s.size());
+    used_ += s.size();
+  }
+  void put_int(std::int64_t x) {
+    if (sizeof buf_ - used_ < kMaxIntChars) flush();
+    used_ = static_cast<std::size_t>(
+        std::to_chars(buf_ + used_, buf_ + sizeof buf_, x).ptr - buf_);
+  }
+  /// " <x>" -- the separator every numeric field after the first carries.
+  void field(std::int64_t x) {
+    put(' ');
+    put_int(x);
+  }
+  void time_field(Tick t) {
+    put(' ');
+    if (t == kNoTime) {
+      put('-');
+    } else {
+      put_int(t);
+    }
+  }
+  void value_field(const Value& v) {
+    put(kFieldSep);
+    if (v.is_int()) {
+      put_int(v.as_int());
+    } else {
+      put(v.to_string());
+    }
+  }
+  void end_line() {
+    put('\n');
+    flush();
+  }
+  void flush() {
+    sink_(buf_, used_);
+    used_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kMaxIntChars = 20;  // "-9223372036854775808"
+  Sink& sink_;
+  char buf_[256];  // every line without long values fits
+  std::size_t used_ = 0;
+};
+
+template <typename Sink>
+void emit_trace(const Trace& trace, Sink& sink) {
+  TraceEmitter<Sink> out(sink);
+  out.put("trace v1\ntiming");
+  out.field(trace.timing.d);
+  out.field(trace.timing.u);
+  out.field(trace.timing.eps);
+  out.put("\noffsets");
+  for (Tick c : trace.clock_offsets) out.field(c);
+  out.put("\nend");
+  out.field(trace.end_time);
+  out.end_line();
+  for (const MessageRecord& m : trace.messages) {
+    out.put("msg");
+    out.field(m.id);
+    out.field(m.from);
+    out.field(m.to);
+    out.field(m.send_time);
+    out.time_field(m.recv_time);
+    out.end_line();
+  }
+  for (const OperationRecord& rec : trace.ops) {
+    out.put("op");
+    out.field(rec.token);
+    out.field(rec.proc);
+    out.field(rec.op.code);
+    out.time_field(rec.invoke_time);
+    out.time_field(rec.response_time);
+    out.value_field(rec.ret);
+    for (const Value& arg : rec.op.args) out.value_field(arg);
+    out.end_line();
+  }
+  for (const FaultEvent& f : trace.faults) {
+    out.put("fault ");
+    out.put(fault_kind_name(f.kind));
+    out.field(f.time);
+    out.field(f.proc);
+    out.field(f.peer);
+    out.field(f.msg);
+    out.field(f.magnitude);
+    out.end_line();
+  }
+}
+
 }  // namespace
 
 void write_trace(std::ostream& os, const Trace& trace) {
-  os << "trace v1\n";
-  os << "timing " << trace.timing.d << " " << trace.timing.u << " "
-     << trace.timing.eps << "\n";
-  os << "offsets";
-  for (Tick c : trace.clock_offsets) os << " " << c;
-  os << "\n";
-  os << "end " << trace.end_time << "\n";
-  for (const MessageRecord& m : trace.messages) {
-    os << "msg " << m.id << " " << m.from << " " << m.to << " " << m.send_time
-       << " " << time_or_dash(m.recv_time) << "\n";
-  }
-  for (const OperationRecord& rec : trace.ops) {
-    os << "op " << rec.token << " " << rec.proc << " " << rec.op.code << " "
-       << time_or_dash(rec.invoke_time) << " " << time_or_dash(rec.response_time)
-       << kFieldSep << rec.ret.to_string();
-    for (const Value& arg : rec.op.args) os << kFieldSep << arg.to_string();
-    os << "\n";
-  }
-  for (const FaultEvent& f : trace.faults) {
-    os << "fault " << fault_kind_name(f.kind) << " " << f.time << " " << f.proc
-       << " " << f.peer << " " << f.msg << " " << f.magnitude << "\n";
-  }
+  auto sink = [&os](const char* p, std::size_t n) {
+    os.write(p, static_cast<std::streamsize>(n));
+  };
+  emit_trace(trace, sink);
 }
 
 std::string trace_to_string(const Trace& trace) {
@@ -66,37 +159,17 @@ std::string trace_to_string(const Trace& trace) {
   return os.str();
 }
 
-namespace {
-
-/// FNV-1a over everything written through it.
-class HashStreambuf final : public std::streambuf {
- public:
-  std::uint64_t hash() const { return hash_; }
-
- protected:
-  int overflow(int ch) override {
-    if (ch != traits_type::eof()) absorb(static_cast<unsigned char>(ch));
-    return ch;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) {
-      absorb(static_cast<unsigned char>(s[i]));
-    }
-    return n;
-  }
-
- private:
-  void absorb(unsigned char c) { hash_ = (hash_ ^ c) * 1099511628211ull; }
-  std::uint64_t hash_ = 14695981039346656037ull;
-};
-
-}  // namespace
-
 std::uint64_t hash_trace(const Trace& trace) {
-  HashStreambuf buf;
-  std::ostream os(&buf);
-  write_trace(os, trace);
-  return buf.hash();
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a
+  auto sink = [&hash](const char* p, std::size_t n) {
+    std::uint64_t h = hash;  // a local: stores through `hash` may alias `p`
+    for (std::size_t i = 0; i < n; ++i) {
+      h = (h ^ static_cast<unsigned char>(p[i])) * 1099511628211ull;
+    }
+    hash = h;
+  };
+  emit_trace(trace, sink);
+  return hash;
 }
 
 std::optional<Trace> read_trace(std::istream& is, std::string* error) {

@@ -25,7 +25,9 @@
 
 namespace linbound {
 
-/// Serialize a trace.
+/// Serialize a trace.  write_trace and hash_trace share one emitter of the
+/// grammar above, which formats a line at a time into a small buffer and
+/// hands it to a sink: os.write here, an FNV-1a loop in hash_trace.
 void write_trace(std::ostream& os, const Trace& trace);
 std::string trace_to_string(const Trace& trace);
 
@@ -35,9 +37,9 @@ std::optional<Trace> read_trace(std::istream& is, std::string* error = nullptr);
 std::optional<Trace> trace_from_string(const std::string& text,
                                        std::string* error = nullptr);
 
-/// FNV-1a fingerprint of write_trace's output, streamed (a ~100MB
-/// serialized trace is hashed without materializing it).  Two traces hash
-/// equal iff their serializations are byte-identical -- the determinism
+/// FNV-1a fingerprint of exactly the bytes write_trace emits, streamed (a
+/// ~100MB serialized trace is hashed without materializing it).  Two traces
+/// hash equal iff their serializations are byte-identical -- the determinism
 /// oracle of bench_throughput, the chaos engine's double-run check
 /// (src/chaos) and the repro-bundle replay gate all compare this.
 std::uint64_t hash_trace(const Trace& trace);

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "checker/multi_check.h"
@@ -65,22 +67,41 @@ std::vector<std::uint64_t> hashes_of(const ShardRunReport& report) {
   return out;
 }
 
-/// The contract itself: every shard's parallel hash equals its solo
-/// reference, at every jobs count.
+/// The contract itself: every shard's parallel result -- trace hash,
+/// status, counts and streaming verdict -- equals its solo reference and
+/// sits at its canonical index, at every jobs count.
 void expect_identity(const ShardOptions& options) {
   ShardedSimulation reference(options);
-  std::vector<std::uint64_t> solo;
+  std::vector<ShardResult> solo;
   for (int s = 0; s < options.shards; ++s) {
-    solo.push_back(reference.run_solo(s).trace_hash);
+    solo.push_back(reference.run_solo(s));
   }
   for (int jobs : {1, 2, 4}) {
     ShardedSimulation sim(options);
     const ShardRunReport report = sim.run(jobs);
     ASSERT_EQ(report.shards.size(), static_cast<std::size_t>(options.shards));
-    EXPECT_EQ(hashes_of(report), solo)
-        << "per-shard trace diverged from the single-threaded reference at "
-           "--jobs "
-        << jobs;
+    for (std::size_t s = 0; s < solo.size(); ++s) {
+      const ShardResult& got = report.shards[s];
+      const ShardResult& want = solo[s];
+      SCOPED_TRACE("shard " + std::to_string(s) + " at --jobs " +
+                   std::to_string(jobs));
+      EXPECT_EQ(got.shard, static_cast<int>(s));
+      EXPECT_EQ(got.trace_hash, want.trace_hash)
+          << "per-shard trace diverged from the single-threaded reference";
+      EXPECT_EQ(got.status, want.status);
+      EXPECT_EQ(got.events, want.events);
+      EXPECT_EQ(got.ops, want.ops);
+      EXPECT_EQ(got.end_time, want.end_time);
+      EXPECT_EQ(got.deliver_batches, want.deliver_batches);
+      EXPECT_EQ(got.batched_messages, want.batched_messages);
+      EXPECT_EQ(got.checked, want.checked);
+      EXPECT_EQ(got.check_ok, want.check_ok);
+      EXPECT_EQ(got.check_states, want.check_states);
+      EXPECT_EQ(got.check_segments, want.check_segments);
+      EXPECT_EQ(got.check_max_resident, want.check_max_resident);
+      EXPECT_EQ(got.check_max_window, want.check_max_window);
+      EXPECT_EQ(got.check_error, want.check_error);
+    }
   }
 }
 
@@ -112,6 +133,23 @@ TEST(Shard, DifferentialFuzzAcrossShardCountsAndConfigs) {
       expect_identity(o);
     }
   }
+  // Steep skew over few shards, checked, with one shard aborting: the
+  // terminal phase issues shards heaviest-first, so this input's drain
+  // order differs from index order -- results must not.
+  ShardOptions skewed = base_options(5, 200);
+  skewed.seed = fuzz.next_u64();
+  skewed.zipf_s = 2.5;
+  skewed.streaming_check = true;
+  skewed.shard_budget_override = {0, 0, 0, 40, 0};
+  const std::vector<std::size_t> loads = ShardedSimulation(skewed).loads();
+  ASSERT_FALSE(std::is_sorted(loads.begin(), loads.end(),
+                              std::greater<std::size_t>()))
+      << "loads already descending: the input no longer reorders the drain";
+  expect_identity(skewed);
+  const ShardRunReport report = ShardedSimulation(skewed).run(4);
+  EXPECT_EQ(report.aborted, 1);
+  EXPECT_EQ(report.shards[3].status, RunStatus::kAborted);
+  EXPECT_EQ(report.checked, skewed.shards);
 }
 
 /// Pinned per-shard hashes: every solo reference and every parallel run

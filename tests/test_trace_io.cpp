@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/system.h"
 #include "types/queue_type.h"
 #include "types/register_type.h"
@@ -81,6 +85,145 @@ TEST(TraceIo, RoundTripsHandBuiltTrace) {
   EXPECT_FALSE(parsed->ops[1].completed());
   // Serialization is canonical: round-trip twice gives identical text.
   EXPECT_EQ(trace_to_string(*parsed), trace_to_string(trace));
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+  }
+  return h;
+}
+
+/// Every line kind and field shape of `trace v1`: a fault line per
+/// FaultKind, `-` for kNoTime, negative offsets, INT64_MIN/INT64_MAX ticks,
+/// and unit/int/bool/string/nested-list values as rets and args.
+Trace golden_trace() {
+  constexpr Tick kMin = std::numeric_limits<Tick>::min();
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  Trace trace;
+  trace.timing = SystemTiming{1000, 400, 300};
+  trace.clock_offsets = {0, -150, 299, kMax};
+  trace.end_time = kMax;
+  MessageRecord m;
+  m.id = 0;
+  m.from = 0;
+  m.to = 2;
+  m.send_time = 100;
+  m.recv_time = 900;
+  trace.messages.push_back(m);
+  m.id = 1;
+  m.recv_time = kNoTime;  // undelivered: `-`
+  trace.messages.push_back(m);
+  m.id = kMax;
+  m.from = 2;
+  m.to = 0;
+  m.send_time = -7;
+  m.recv_time = kMax;
+  trace.messages.push_back(m);
+
+  OperationRecord rec;
+  rec.token = 0;
+  rec.proc = 1;
+  rec.op.code = 0;
+  rec.op.args = {Value(5)};
+  rec.invoke_time = 200;
+  rec.response_time = 500;
+  rec.ret = Value::unit();
+  trace.ops.push_back(rec);
+  rec.token = 1;
+  rec.proc = 0;
+  rec.op.code = 1;
+  rec.op.args = {};
+  rec.invoke_time = kNoTime;
+  rec.response_time = kNoTime;  // pending: `-`
+  rec.ret = Value(std::numeric_limits<std::int64_t>::min());
+  trace.ops.push_back(rec);
+  rec.token = -3;
+  rec.proc = 2;
+  rec.op.code = -12;
+  rec.op.args = {Value(true), Value("a b")};
+  rec.invoke_time = kMin + 1;
+  rec.response_time = kMax;
+  rec.ret = Value(false);
+  trace.ops.push_back(rec);
+  rec.token = std::numeric_limits<std::int64_t>::max();
+  rec.proc = 3;
+  rec.op.code = 2147483647;
+  rec.op.args = {Value(""),
+                 Value(Value::List{Value(-1), Value(Value::List{}),
+                                   Value(Value::List{Value("x"), Value::unit(),
+                                                     Value(true)})})};
+  rec.invoke_time = 0;
+  rec.response_time = 9000000000;
+  rec.ret = Value(Value::List{Value(std::numeric_limits<std::int64_t>::max()),
+                              Value("s"), Value(Value::List{Value(false)})});
+  trace.ops.push_back(rec);
+
+  for (int k = 0; k < static_cast<int>(FaultKind::kFaultKindCount); ++k) {
+    FaultEvent f;
+    f.kind = static_cast<FaultKind>(k);
+    f.time = k == 0 ? kMin : (k == 1 ? kMax : 100 * k);
+    f.proc = k % 2 == 0 ? kNoProcess : k;
+    f.peer = k % 3 == 0 ? kNoProcess : k - 1;
+    f.msg = k % 2 == 0 ? -1 : k + 10;
+    f.magnitude = k == 2 ? kMin : -k;
+    trace.faults.push_back(f);
+  }
+  return trace;
+}
+
+TEST(TraceIo, GoldenBytes) {
+  // Recorded from the iostream-era writer that every archived trace hash
+  // was taken over: the serialization must reproduce it byte for byte.
+  const std::string golden =
+      "trace v1\n"
+      "timing 1000 400 300\n"
+      "offsets 0 -150 299 9223372036854775807\n"
+      "end 9223372036854775807\n"
+      "msg 0 0 2 100 900\n"
+      "msg 1 0 2 100 -\n"
+      "msg 9223372036854775807 2 0 -7 9223372036854775807\n"
+      "op 0 1 0 200 500\t()\t5\n"
+      "op 1 0 1 - -\t-9223372036854775808\n"
+      "op -3 2 -12 -9223372036854775807 9223372036854775807"
+      "\tfalse\ttrue\t\"a b\"\n"
+      "op 9223372036854775807 3 2147483647 0 9000000000"
+      "\t[9223372036854775807, \"s\", [false]]"
+      "\t\"\"\t[-1, [], [\"x\", (), true]]\n"
+      "fault message-dropped -9223372036854775808 -1 -1 -1 0\n"
+      "fault message-duplicated 9223372036854775807 1 0 11 -1\n"
+      "fault delay-spike 200 -1 1 -1 -9223372036854775808\n"
+      "fault process-stalled 300 3 -1 13 -3\n"
+      "fault process-crashed 400 -1 3 -1 -4\n"
+      "fault operation-given-up 500 5 4 15 -5\n"
+      "fault process-recovered 600 -1 -1 -1 -6\n"
+      "fault mode-downgrade 700 7 6 17 -7\n"
+      "fault mode-upgrade 800 -1 7 -1 -8\n";
+  const Trace trace = golden_trace();
+  EXPECT_EQ(trace_to_string(trace), golden);
+  EXPECT_EQ(hash_trace(trace), fnv1a(golden));
+
+  std::string error;
+  auto parsed = trace_from_string(golden, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(trace_to_string(*parsed), golden);
+
+  // Many lines, and one value longer than any formatting buffer: the hash
+  // still covers exactly the serialized bytes, in order.
+  Trace big = golden_trace();
+  for (int copy = 0; copy < 300; ++copy) {
+    big.ops.insert(big.ops.end(), trace.ops.begin(), trace.ops.end());
+  }
+  big.ops[7].ret = Value(std::string(100000, 'v'));
+  const std::string text = trace_to_string(big);
+  ASSERT_GT(text.size(), 150000u);
+  EXPECT_EQ(hash_trace(big), fnv1a(text));
+  parsed = trace_from_string(text, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->ops.size(), big.ops.size());
+  EXPECT_EQ(parsed->ops[7].ret, big.ops[7].ret);
+  EXPECT_EQ(trace_to_string(*parsed), text);
 }
 
 TEST(TraceIo, RoundTripsARealRun) {
