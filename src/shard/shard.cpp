@@ -41,7 +41,7 @@ const char* shard_variant_name(ShardVariant variant) {
 }
 
 /// Everything one shard owns: its replica group (inside its own Simulator),
-/// its workload, its churn schedule and its barrier-protocol cursor.
+/// its workload, its churn schedule and its beacon cursor.
 struct ShardedSimulation::ShardState {
   int shard = -1;
   std::unique_ptr<ReplicaSystem> system;
@@ -51,9 +51,8 @@ struct ShardedSimulation::ShardState {
   std::size_t beacons_received = 0;
   bool aborted = false;
   /// Streaming check riding the shard's hooks (ShardOptions::streaming_check).
-  /// Inline (jobs = 1): the checker advances on whichever PDES worker steps
-  /// the shard's window; the inter-window barriers order those accesses, so
-  /// the single-threaded checker core never runs concurrently with itself.
+  /// Inline (jobs = 1): one task owns the shard from build to hash, so the
+  /// single-threaded checker core only ever runs on that task's worker.
   std::unique_ptr<StreamingChecker> checker;
   CheckResult check_result;
   std::size_t check_max_window = 0;
@@ -169,13 +168,19 @@ ShardedSimulation::ShardedSimulation(ShardOptions options)
       Tick delay = lookahead_ + (spread > 0 ? draw.uniform_tick(0, spread) : 0);
       if (k == 0 && dst == opt_.mutant_early_epoch_shard) {
         // Planted violation: delivered the instant it is sent, below every
-        // possible lookahead -- the barrier validation must reject it.
+        // possible lookahead -- beacon injection must reject it.
         delay = 0;
       }
       beacons_[static_cast<std::size_t>(dst)].push_back(
           Beacon{k, dst, send, send + delay});
     }
     last_beacon_send_ = send;
+  }
+  // Windows run until the first horizon past the last beacon send; after
+  // that no cross-shard event can arrive, and each shard drains alone.
+  if (opt_.sync_epochs > 0) {
+    windows_ = static_cast<std::size_t>(
+        std::max<Tick>(last_beacon_send_, 0) / lookahead_ + 1);
   }
 }
 
@@ -267,22 +272,12 @@ std::unique_ptr<ShardedSimulation::ShardState> ShardedSimulation::build_shard(
     state->checker->attach(state->sim());
   }
 
+  // Exact trace capacity: the workload, every beacon read and the planted
+  // extra op, so the record vector never regrows mid-run.
+  state->sim().reserve(loads_[s] + beacons_[s].size() + 1, 0, 0);
   state->sim().start();
   state->workload->arm();
   return state;
-}
-
-void ShardedSimulation::step_window(ShardState& state, Tick horizon) {
-  if (state.sim().run_window(horizon) == WindowOutcome::kBudget) {
-    state.aborted = true;
-  }
-}
-
-void ShardedSimulation::run_terminal(ShardState& state) {
-  // The terminal infinite window: no cross-shard input can arrive anymore,
-  // so the shard drains to quiescence with no further barriers.  A false
-  // return is the event budget tripping (Simulator::run contract).
-  if (!state.sim().run()) state.aborted = true;
 }
 
 void ShardedSimulation::inject_beacons(ShardState& state, Tick horizon) const {
@@ -332,6 +327,7 @@ ShardResult ShardedSimulation::finish_shard(const ShardState& state) const {
   r.trace_hash = hash_trace(trace);
   r.events = state.sim().events_processed();
   r.ops = trace.ops.size();
+  r.beacons = state.beacons_received;
   r.end_time = trace.end_time;
   r.deliver_batches = trace.stats.deliver_batches;
   r.batched_messages = trace.stats.batched_messages;
@@ -347,70 +343,64 @@ ShardResult ShardedSimulation::finish_shard(const ShardState& state) const {
   return r;
 }
 
-ShardRunReport ShardedSimulation::drive(
-    std::vector<std::unique_ptr<ShardState>>& states, int jobs,
-    bool plant_extra) const {
-  ShardRunReport report;
-  const ParallelSweepExecutor exec(resolve_jobs(jobs));
-  const std::size_t count = states.size();
-
-  if (opt_.sync_epochs > 0) {
-    for (Tick window_start = 0;; window_start += lookahead_) {
-      const Tick horizon = window_start + lookahead_;
-      // All shards advance to the horizon in parallel; map() returning is
-      // the barrier.  An aborted shard stops stepping (its budget tripped;
-      // the trace is frozen at the trip point) but stays in the report.
-      exec.map<int>(count, [&](std::size_t i) {
-        if (!states[i]->aborted) step_window(*states[i], horizon);
-        return 0;
-      });
-      ++report.windows;
-      // Barrier exchange, serially in canonical shard order: deliver every
-      // beacon whose send time fell inside the closed window.  Each push
-      // lands in its destination shard's private queue, so the cross-shard
-      // iteration order cannot perturb any shard's push sequence.
-      for (auto& state : states) {
-        if (state->aborted) continue;
-        inject_beacons(*state, horizon);
-        if (plant_extra && state->shard == opt_.mutant_extra_op_shard &&
-            report.windows == 1) {
-          // Planted divergence (parallel runs only -- run_solo strips the
-          // knob): one operation run_solo never schedules, so this shard's
-          // hash must differ from its single-threaded reference.  Placed
-          // two epochs past the last beacon so it cannot overlap a pending
-          // beacon on process 0.
-          state->sim().invoke_at(last_beacon_send_ + 2 * sync_interval_,
-                                 /*pid=*/0, reg::read());
-        }
-      }
-      if (horizon > last_beacon_send_) break;
+ShardResult ShardedSimulation::run_shard(ShardState& state,
+                                     bool plant_extra) const {
+  // The shard's own window sequence: step to each horizon, then deliver
+  // every beacon whose send time fell inside the window that just closed.
+  // No other shard is consulted -- the beacon schedule is configuration-pure
+  // -- so no barrier is needed between shards.  A shard whose budget trips
+  // stops stepping; its trace is frozen at the trip point.
+  for (std::size_t w = 1; w <= windows_; ++w) {
+    const Tick horizon = static_cast<Tick>(w) * lookahead_;
+    if (state.sim().run_window(horizon) == WindowOutcome::kBudget) {
+      state.aborted = true;
+      break;
+    }
+    inject_beacons(state, horizon);
+    if (plant_extra && w == 1 && state.shard == opt_.mutant_extra_op_shard) {
+      // Planted divergence (run() only -- run_solo strips the knob): one
+      // operation run_solo never schedules, so this shard's hash must
+      // differ from its single-threaded reference.  Placed two epochs past
+      // the last beacon so it cannot overlap a pending beacon on process 0.
+      state.sim().invoke_at(last_beacon_send_ + 2 * sync_interval_,
+                            /*pid=*/0, reg::read());
     }
   }
+  // The terminal infinite window: no cross-shard input can arrive anymore,
+  // so the shard drains to quiescence.  A false return is the event budget
+  // tripping (Simulator::run contract).
+  if (!state.aborted && !state.sim().run()) state.aborted = true;
+  finalize_check(state);
+  return finish_shard(state);
+}
 
-  // Terminal phase: one drain -> final-window search -> hash task per
-  // shard, issued heaviest-first (longest-processing-time-first; a shard's
-  // op count prices all three steps), so the hottest shard never starts
-  // last and finishes alone.  Each task touches only its own shard and
-  // report slot, so the order cannot reach any trace or result.
+ShardRunReport ShardedSimulation::run(int jobs) {
+  const auto count = static_cast<std::size_t>(opt_.shards);
+  // One task per shard, from build to hash, issued heaviest-first
+  // (longest-processing-time-first; a shard's op count prices every step),
+  // so the hottest shard never starts last and finishes alone.  Each task
+  // touches only its own shard and writes only its own slots, so neither
+  // the order nor the worker can reach any trace or result.
   std::vector<std::size_t> order(count);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return loads_[static_cast<std::size_t>(states[a]->shard)] >
-                            loads_[static_cast<std::size_t>(states[b]->shard)];
+                     return loads_[a] > loads_[b];
                    });
+  std::vector<std::unique_ptr<ShardState>> states(count);
+  ShardRunReport report;
   report.shards.resize(count);
-  exec.map<int>(count, [&](std::size_t k) {
-    ShardState& state = *states[order[k]];
-    if (!state.aborted) run_terminal(state);
-    finalize_check(state);
-    report.shards[order[k]] = finish_shard(state);
+  report.windows = windows_;
+  ParallelSweepExecutor(resolve_jobs(jobs)).map<int>(count, [&](std::size_t k) {
+    const std::size_t i = order[k];
+    states[i] = build_shard(static_cast<int>(i));
+    report.shards[i] = run_shard(*states[i], /*plant_extra=*/true);
     return 0;
   });
 
   // Canonical-order aggregation, after every task has finished.
   for (std::size_t i = 0; i < count; ++i) {
-    report.beacons += states[i]->beacons_received;
+    report.beacons += report.shards[i].beacons;
     report.total_events += report.shards[i].events;
     report.total_ops += report.shards[i].ops;
     report.deliver_batches += report.shards[i].deliver_batches;
@@ -421,20 +411,6 @@ ShardRunReport ShardedSimulation::drive(
       if (!report.shards[i].check_ok) ++report.check_failures;
     }
   }
-  return report;
-}
-
-ShardRunReport ShardedSimulation::run(int jobs) {
-  std::vector<std::unique_ptr<ShardState>> states(
-      static_cast<std::size_t>(opt_.shards));
-  const ParallelSweepExecutor exec(resolve_jobs(jobs));
-  // Construction is per-shard pure, so it parallelizes like the run itself;
-  // each worker writes only its own slot.
-  exec.map<int>(states.size(), [&](std::size_t i) {
-    states[i] = build_shard(static_cast<int>(i));
-    return 0;
-  });
-  ShardRunReport report = drive(states, jobs, /*plant_extra=*/true);
   states_ = std::move(states);
   return report;
 }
@@ -445,9 +421,7 @@ ShardResult ShardedSimulation::run_solo(int shard) const {
   }
   // The reference run never carries the planted extra operation: that
   // divergence is exactly what references exist to expose.
-  std::vector<std::unique_ptr<ShardState>> states;
-  states.push_back(build_shard(shard));
-  return drive(states, /*jobs=*/1, /*plant_extra=*/false).shards.front();
+  return run_shard(*build_shard(shard), /*plant_extra=*/false);
 }
 
 const Trace& ShardedSimulation::trace(int shard) const {

@@ -1,15 +1,17 @@
 // Multi-tenant sharded simulation: many independent shared objects, each a
-// full replica group inside its own deterministic Simulator, advanced in
-// parallel by a conservative-PDES window protocol.
+// full replica group inside its own deterministic Simulator, run in
+// parallel as one task per shard under a conservative-PDES window scheme.
 //
 // The paper's delay uncertainty is the key: no message is delivered before
-// d - u, so that quantity is a sound conservative lookahead.  All shards
-// advance their local event queues to a global horizon T + lookahead
-// (Simulator::run_window), then barrier, exchange cross-shard clock-sync
-// beacons whose send times fell inside the closed window, and open the next
-// window.  Once the (finite, configuration-pure) beacon schedule is
-// exhausted no cross-shard event can ever arrive again, so the remaining
-// run is one terminal infinite window per shard -- embarrassingly parallel.
+// d - u, so that quantity is a sound conservative lookahead.  Each shard
+// advances its local event queue window by window to horizons k * lookahead
+// (Simulator::run_window), and after each window injects the cross-shard
+// clock-sync beacons whose send times fell inside it.  The beacon schedule
+// is configuration-pure, so a shard's windows never wait for another shard:
+// there is no global barrier, and one task per shard runs build, windows,
+// terminal drain, final check and hash back to back.  Once the (finite)
+// schedule is exhausted no cross-shard event can ever arrive again, so the
+// rest of the run is one terminal infinite window.
 //
 // The determinism contract (DESIGN.md section 14): for every shard, the
 // trace produced by the parallel run is byte-identical -- hash_trace equal,
@@ -23,16 +25,17 @@
 //   2. configuration-pure exchange: the beacon schedule (epochs, sources,
 //      delays, receive times) is a pure function of ShardOptions -- never
 //      of any shard's execution state -- drawn from SplitRng streams;
-//   3. identical stepping: run() and run_solo() drive a shard through the
-//      same sequence of run_window horizons and barrier injections, so its
-//      queue sees the same pushes and pops in the same order.
+//   3. identical stepping: run() and run_solo() call the same per-shard
+//      function (run_shard), so a shard's queue sees the same pushes and
+//      pops in the same order by construction.
 //
 // Injected faults (duplication, delay spikes, stalls, churn) only ever
 // *widen* delivery envelopes upward, so the d - u lookahead stays sound
-// under every fault config this runtime accepts; the barrier validates
-// receive times against the open window's end and throws std::logic_error
-// on any beacon that would violate the lookahead (the planted
-// mutant_early_epoch_shard knob exercises exactly that guard).
+// under every fault config this runtime accepts; beacon injection
+// validates receive times against the closed window's end and throws
+// std::logic_error on any beacon that would violate the lookahead (the
+// planted mutant_early_epoch_shard knob exercises exactly that guard).  In
+// a parallel run the throw surfaces once every other shard's task is done.
 #pragma once
 
 #include <cstdint>
@@ -109,8 +112,8 @@ struct ShardOptions {
 
   // --- planted-mutant knobs (tests only) ---
   /// Shard whose epoch-0 beacon is delivered *before* the window ends,
-  /// violating the conservative lookahead; the barrier validation must
-  /// catch it (std::logic_error).  -1 = off.
+  /// violating the conservative lookahead; beacon injection's validation
+  /// must catch it (std::logic_error).  -1 = off.
   int mutant_early_epoch_shard = -1;
   /// Shard that receives one extra cross-shard operation in the parallel
   /// run only (not in run_solo), so its parallel hash must diverge from its
@@ -138,6 +141,7 @@ struct ShardResult {
   std::uint64_t trace_hash = 0;  ///< hash_trace of the shard's trace
   std::size_t events = 0;        ///< events processed by the shard's Simulator
   std::size_t ops = 0;           ///< trace ops (workload + received beacons)
+  std::size_t beacons = 0;       ///< cross-shard beacons delivered to the shard
   Tick end_time = 0;             ///< trace end time
   std::uint64_t deliver_batches = 0;   ///< TraceStats: delivery batches run
   std::uint64_t batched_messages = 0;  ///< TraceStats: deliveries in batches
@@ -188,13 +192,13 @@ class ShardedSimulation {
   /// Workload operations apportioned to each shard (zipfian_shard_loads).
   const std::vector<std::size_t>& loads() const { return loads_; }
 
-  /// Run every shard through the window protocol on `jobs` workers
-  /// (resolve_jobs semantics; <= 1 is serial).  Shard traces are retained
-  /// for trace()/checking until the next run() or destruction.
+  /// Run every shard, one task each, on `jobs` workers (resolve_jobs
+  /// semantics; <= 1 is serial).  Shard traces are retained for
+  /// trace()/checking until the next run() or destruction.
   ShardRunReport run(int jobs);
 
-  /// Single-threaded reference for one shard: the identical window/barrier
-  /// sequence with every other shard absent.  Self-contained (builds its
+  /// Single-threaded reference for one shard: the identical per-shard
+  /// stepping with every other shard absent.  Self-contained (builds its
   /// own state; does not disturb a previous run()'s traces), so references
   /// for different shards may themselves be computed concurrently.
   ShardResult run_solo(int shard) const;
@@ -217,10 +221,6 @@ class ShardedSimulation {
   struct ShardState;
 
   std::unique_ptr<ShardState> build_shard(int shard) const;
-  /// Step `state` to `horizon`; marks it aborted if its budget trips.
-  static void step_window(ShardState& state, Tick horizon);
-  /// Drain `state` to quiescence (the terminal infinite window).
-  static void run_terminal(ShardState& state);
   /// Run the streaming checker's final-window search and stash the verdict
   /// on the state (no-op unless streaming_check; a state-budget trip is
   /// recorded as check_error rather than thrown).
@@ -229,13 +229,13 @@ class ShardedSimulation {
   /// time fell inside the window that just closed at `horizon`, validating
   /// recv >= horizon.
   void inject_beacons(ShardState& state, Tick horizon) const;
+  /// Drive one built shard through its whole window sequence, the terminal
+  /// drain and the final check, and hash its result; the one stepping
+  /// behind run() and run_solo().  `plant_extra` enables the
+  /// mutant_extra_op_shard knob (run() only -- references must not carry
+  /// the planted divergence).
+  ShardResult run_shard(ShardState& state, bool plant_extra) const;
   ShardResult finish_shard(const ShardState& state) const;
-  /// Drive one already-built set of shard states through the whole
-  /// protocol; the shared implementation behind run() and run_solo().
-  /// `plant_extra` enables the mutant_extra_op_shard knob (run() only --
-  /// references must not carry the planted divergence).
-  ShardRunReport drive(std::vector<std::unique_ptr<ShardState>>& states,
-                       int jobs, bool plant_extra) const;
 
   ShardOptions opt_;
   std::shared_ptr<const ObjectModel> model_;
@@ -244,6 +244,7 @@ class ShardedSimulation {
   Tick sync_interval_ = 0;
   int clients_ = 0;
   Tick last_beacon_send_ = kNoTime;  ///< kNoTime when sync_epochs == 0
+  std::size_t windows_ = 0;  ///< conservative windows before the terminal one
   std::vector<std::size_t> loads_;
   std::vector<std::vector<Beacon>> beacons_;  ///< per dst shard, epoch order
   std::vector<std::unique_ptr<ShardState>> states_;  ///< last run()'s shards

@@ -32,12 +32,12 @@ bool fail(std::string* error, const std::string& why) {
 }
 
 /// The one `trace v1` emitter.  Each line is formatted into a stack buffer
-/// (integers via std::to_chars, other values via Value::to_string) and
-/// handed to `sink(const char*, std::size_t)` when it ends -- or earlier,
-/// when a long value would overflow the buffer -- so write_trace and
-/// hash_trace see the same bytes in the same order.  Handing over a line at
-/// a time, not a full buffer, lets the CPU hash one line while it formats
-/// the next.
+/// (integers via std::to_chars, units and bools as their literals, strings
+/// and lists via Value::to_string) and handed to
+/// `sink(const char*, std::size_t)` when it ends -- or earlier, when a long
+/// value would overflow the buffer -- so write_trace and hash_trace see the
+/// same bytes in the same order.  Handing over a line at a time, not a full
+/// buffer, lets the CPU hash one line while it formats the next.
 template <typename Sink>
 class TraceEmitter {
  public:
@@ -80,6 +80,10 @@ class TraceEmitter {
     put(kFieldSep);
     if (v.is_int()) {
       put_int(v.as_int());
+    } else if (v.is_unit()) {
+      put("()");
+    } else if (v.is_bool()) {
+      put(v.as_bool() ? "true" : "false");
     } else {
       put(v.to_string());
     }

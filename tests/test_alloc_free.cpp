@@ -194,5 +194,24 @@ TEST(AllocFree, ShardBuildAllocationsPerShard) {
   EXPECT_LE(per_shard, kShardAllocsPerShard);
 }
 
+TEST(AllocFree, ShardTraceCapacityIsExact) {
+  // Each shard reserves its trace for the workload, every beacon read and
+  // the planted extra op; a capacity equal to that reservation after the
+  // run proves the record vector never regrew.
+  constexpr int kShards = 64;
+  ShardOptions o;
+  o.shards = kShards;
+  o.timing = timing();
+  o.total_ops = 16 * kShards;
+  ShardedSimulation sim(o);
+  ASSERT_EQ(sim.run(1).aborted, 0);
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_EQ(sim.trace(s).ops.capacity(),
+              sim.loads()[static_cast<std::size_t>(s)] +
+                  static_cast<std::size_t>(o.sync_epochs) + 1)
+        << "shard " << s;
+  }
+}
+
 }  // namespace
 }  // namespace linbound

@@ -76,10 +76,17 @@ void expect_identity(const ShardOptions& options) {
   for (int s = 0; s < options.shards; ++s) {
     solo.push_back(reference.run_solo(s));
   }
+  // Windows run until the first horizon past the last beacon send.
+  const Tick last_send = options.start_time +
+                         static_cast<Tick>(options.sync_epochs - 1) *
+                             reference.sync_interval();
+  const auto windows =
+      static_cast<std::size_t>(last_send / reference.lookahead() + 1);
   for (int jobs : {1, 2, 4}) {
     ShardedSimulation sim(options);
     const ShardRunReport report = sim.run(jobs);
     ASSERT_EQ(report.shards.size(), static_cast<std::size_t>(options.shards));
+    EXPECT_EQ(report.windows, windows) << "--jobs " << jobs;
     for (std::size_t s = 0; s < solo.size(); ++s) {
       const ShardResult& got = report.shards[s];
       const ShardResult& want = solo[s];
@@ -91,6 +98,7 @@ void expect_identity(const ShardOptions& options) {
       EXPECT_EQ(got.status, want.status);
       EXPECT_EQ(got.events, want.events);
       EXPECT_EQ(got.ops, want.ops);
+      EXPECT_EQ(got.beacons, want.beacons);
       EXPECT_EQ(got.end_time, want.end_time);
       EXPECT_EQ(got.deliver_batches, want.deliver_batches);
       EXPECT_EQ(got.batched_messages, want.batched_messages);
@@ -149,6 +157,10 @@ TEST(Shard, DifferentialFuzzAcrossShardCountsAndConfigs) {
   const ShardRunReport report = ShardedSimulation(skewed).run(4);
   EXPECT_EQ(report.aborted, 1);
   EXPECT_EQ(report.shards[3].status, RunStatus::kAborted);
+  // The budget trips inside the window sequence, so expect_identity held
+  // an abort mid-windows (beacon count included) against run_solo.
+  EXPECT_LT(report.shards[3].beacons,
+            static_cast<std::size_t>(skewed.sync_epochs));
   EXPECT_EQ(report.checked, skewed.shards);
 }
 
@@ -236,14 +248,35 @@ TEST(Shard, RunawayShardAbortsAloneWithAttribution) {
 
 // --- planted mutants ------------------------------------------------------
 
+/// The message of the std::logic_error `fn` throws ("" if none).
+std::string logic_error_of(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Shard, EarlyBeaconMutantIsCaughtByLookaheadValidation) {
-  ShardOptions o = base_options(3);
-  o.mutant_early_epoch_shard = 1;
-  ShardedSimulation sim(o);
-  EXPECT_THROW(sim.run(2), std::logic_error);
-  // The violation is in the schedule, not the parallelism: the solo
-  // reference of the victim shard trips the same guard.
-  EXPECT_THROW(ShardedSimulation(o).run_solo(1), std::logic_error);
+  struct Case {
+    int shards, victim, jobs;
+  };
+  // The second case runs the victim's task on a worker while 15 other
+  // shards run on: the map rethrows once they have all finished.
+  for (const Case c : {Case{3, 1, 2}, Case{16, 9, 4}}) {
+    ShardOptions o = base_options(c.shards, 200);
+    o.mutant_early_epoch_shard = c.victim;
+    ShardedSimulation sim(o);
+    const std::string parallel = logic_error_of([&] { sim.run(c.jobs); });
+    EXPECT_NE(parallel.find("beacon for shard " + std::to_string(c.victim) +
+                            " "),
+              std::string::npos)
+        << parallel;
+    // The violation is in the schedule, not the parallelism: the solo
+    // reference of the victim shard trips the same guard.
+    EXPECT_EQ(parallel, logic_error_of([&] { sim.run_solo(c.victim); }));
+  }
 }
 
 TEST(Shard, ExtraOpMutantDivergesFromReference) {
